@@ -147,9 +147,21 @@ def certificate_check(cert: Certificate, K: SimplicialComplex, p: Embedding) -> 
     return strict_negative
 
 
-def _feasible_certificate(k, face_order, index, vectors, skel, M, F):
-    """Shared LP step: strict positivity on F+v inside M, nonpositive
-    on F+u leaving M.  Returns a Certificate or None."""
+def _stress_space(carrier: SimplicialComplex, basis, k: int):
+    """The k-faces of the carrier in order, their index, and the basis
+    as coordinate vectors over them."""
+    face_order = carrier.faces_of_size(k)
+    index = {S: i for i, S in enumerate(face_order)}
+    return face_order, index, [b.as_vector(face_order) for b in basis]
+
+
+def _feasible_certificate(k, space, skel, M, F):
+    """Shared LP step over a `_stress_space`: strict positivity on F+v
+    inside M, nonpositive on F+u leaving M.  Returns a Certificate or
+    None, without an LP when the basis is empty."""
+    face_order, index, vectors = space
+    if not vectors:
+        return None
     Fset = set(F)
     strict = []
     for v in sorted(set(M) - Fset):
@@ -192,10 +204,7 @@ def find_certificate(skel: SimplicialComplex, basis, M, F):
         raise InvalidArgument(f"basis degrees {sorted(degrees)} do not match |F|+1 = {k}")
     if not skel.has_face(F):
         raise NotAFace(f"{F} is not a face")
-    face_order = skel.faces_of_size(k)
-    index = {S: i for i, S in enumerate(face_order)}
-    vectors = [b.as_vector(face_order) for b in basis]
-    return _feasible_certificate(k, face_order, index, vectors, skel, M, F)
+    return _feasible_certificate(k, _stress_space(skel, basis, k), skel, M, F)
 
 
 def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
@@ -209,9 +218,8 @@ def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
     if k < 2:
         raise InvalidArgument("certificate sweeps need k >= 2")
     V = skel.vertices
-    face_order = skel.faces_of_size(k)
-    index = {S: i for i, S in enumerate(face_order)}
-    vectors = [b.as_vector(face_order) for b in basis]
+    space = _stress_space(skel, basis, k)
+    index = space[1]
     certified: list[tuple] = []
     open_candidates: list[tuple] = []
     for size in range(k + 1, d - k + 2):
@@ -223,15 +231,9 @@ def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
                 continue
             if skel.has_face(M):
                 continue  # visible face, nothing to certify
-            found = False
-            if vectors:
-                for F in combinations(M, k - 1):
-                    cert = _feasible_certificate(k, face_order, index, vectors, skel, M, F)
-                    if cert is not None:
-                        certified.append(M)
-                        found = True
-                        break
-            if not found:
+            if any(_feasible_certificate(k, space, skel, M, F) for F in combinations(M, k - 1)):
+                certified.append(M)
+            else:
                 open_candidates.append(M)
     return certified, open_candidates
 
@@ -279,13 +281,7 @@ def quotient_certificate(P: PolytopeInstance, M, F, x0=None):
     for v in rest:
         if v != x0 and not carrier.has_face(set(F) | {v}):
             return None  # the star is too small to see the strict faces
-    basis = stress_basis(carrier, p, k)
-    if not basis:
-        return None
-    face_order = carrier.faces_of_size(k)
-    index = {S: i for i, S in enumerate(face_order)}
-    vectors = [b.as_vector(face_order) for b in basis]
-    return _feasible_certificate(k, face_order, index, vectors, carrier, M, F)
+    return _feasible_certificate(k, _stress_space(carrier, stress_basis(carrier, p, k), k), carrier, M, F)
 
 
 # ---------------------------------------------------------------------------
@@ -614,27 +610,11 @@ def probe_missing_faces(P: PolytopeInstance, k: int) -> list[dict]:
     targets = [M for M in missing_faces(K, k) if len(M) == k]
     for G in targets:
         aug = build_complex(list(K.facets) + [frozenset(G)])
-        basis = stress_basis(aug, p, k)
-        face_order = aug.faces_of_size(k)
-        index = {S: i for i, S in enumerate(face_order)}
-        vectors = [b.as_vector(face_order) for b in basis]
+        space = _stress_space(aug, stress_basis(aug, p, k), k)
         for F in combinations(G, k - 1):
-            Fset = set(F)
-            strict = [index[G]]
-            weak = []
-            for u in K.vertices:
-                if u in G:
-                    continue
-                S = face_key(Fset | {u})
-                j = index.get(S)
-                if j is not None:
-                    weak.append(j)
-            witness = exactla.strict_feasible(vectors, strict, weak) if vectors else None
-            entry = {"G": G, "F": F, "found": witness is not None, "verified": False}
-            if witness is not None:
-                sv = StressVector.from_vector(k, face_order, witness)
-                pattern = _pattern_for(sv, set(face_order), F, G, K.vertices)
-                cert = Certificate(missing=G, base=F, stress=sv, pattern=pattern)
+            cert = _feasible_certificate(k, space, aug, G, F)
+            entry = {"G": G, "F": F, "found": cert is not None, "verified": False}
+            if cert is not None:
                 entry["verified"] = certificate_check(cert, K, p)
                 entry["certificate"] = cert
             results.append(entry)

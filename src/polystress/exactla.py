@@ -1,24 +1,32 @@
 """Exact rational linear algebra and a small exact LP solver.
 
-Kernel and solve go through fraction-free (Bareiss-style) elimination
-over the integers after clearing row denominators, which keeps
-intermediate entries at minor size instead of letting rational
-numerators and denominators feed on each other.  Back substitution
-returns to rationals.
+Every exact loop here runs on one fraction-free pivot step over the
+integers, `_pivot_step`: row <- (row*p - row[col]*pivot_row) / prev,
+with p the pivot and prev the pivot before it.  The division is exact
+by Sylvester's identity (Bareiss 1968; Edmonds 1967), so entries stay
+at minor size instead of letting rational numerators and denominators
+feed on each other.  Rows are cleared of denominators once, up front.
 
-The LP side is a dense two-phase primal simplex over rationals with
-Bland's rule, so it terminates and every run of it is deterministic.
-`strict_feasible` is the entry point the sign-certificate search
-uses; the general `simplex` core also backs the convex-position
-queries elsewhere in the package.
+- Forward elimination (`rank`, `kernel_basis`, `solve_linear`) applies
+  the step to the rows below each pivot; back substitution returns to
+  rationals.
+- `rref` applies it to every other row (fraction-free Gauss-Jordan)
+  and divides each row by its pivot only at the end.
+- The LP is a dense two-phase primal simplex with Bland's rule, so it
+  terminates and every run of it is deterministic.  Its tableau holds
+  integer rows over one shared denominator; a pivot is the same step
+  with prev = that denominator.  `strict_feasible` is the entry point
+  the sign-certificate search uses; the general `simplex` also backs
+  the convex-position queries elsewhere in the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgument
-from .rat import R0, R1, Rat, rat
+from .rat import R0, R1, rat
 
 
 @dataclass(frozen=True)
@@ -53,58 +61,64 @@ def _rows_of(A) -> list[list]:
 
 
 def _integerize(row):
-    """Scale a rational row to integers (clears denominators)."""
+    """Scale a rational row to integers by its positive lcm of denominators."""
     den = 1
     for x in row:
         d = x.denominator
         if d != 1:
-            den = den * d // _gcd(den, d)
+            den = math.lcm(den, d)
     if den == 1:
         return [x.numerator for x in row]
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _pivot_step(rows, prow, col, prev, start=0):
+    """row <- (row*p - row[col]*prow) / prev in place for each row, p = prow[col].
+
+    This is the one integer row update behind every loop in the module.
+
+    Exact whenever prev is the pivot of the step before (the matrix's
+    entries are then minors of the input); the remainder check guards
+    that claim.  Columns before `start` are left alone: the caller
+    knows them to be zero in every row and in prow.
+    """
+    p = prow[col]
+    for row in rows:
+        f = row[col]
+        for c in range(start, len(row)):
+            q, rem = divmod(row[c] * p - f * prow[c], prev)
+            if rem:
+                raise ArithmeticError("inexact division in fraction-free elimination")
+            row[c] = q
 
 
-def _bareiss_echelon(int_rows: list[list[int]], ncols: int, pivot_cols_limit: int | None = None):
-    """Fraction-free forward elimination.
+def _bareiss_echelon(rows: list[list[int]], limit: int, reduced: bool = False):
+    """Fraction-free elimination of integer rows, in place.
 
     Returns (rows, pivots) where pivots is a list of (row, col) in
-    elimination order.  Only columns < pivot_cols_limit are eligible
-    as pivots, which is how augmented solves keep the rhs passive.
+    elimination order.  Only columns < limit are eligible as pivots,
+    which is how augmented solves keep the rhs passive.  Forward
+    elimination updates the rows below each pivot; `reduced` updates
+    the rows above as well (Gauss-Jordan), after which every pivot row
+    carries the last pivot on its pivot column.
     """
-    rows = int_rows
     m = len(rows)
-    limit = ncols if pivot_cols_limit is None else pivot_cols_limit
     pivots: list[tuple[int, int]] = []
     prev = 1
     r = 0
     for col in range(limit):
-        pr = None
-        for i in range(r, m):
-            if rows[i][col] != 0:
-                pr = i
+        for pr in range(r, m):
+            if rows[pr][col]:
                 break
-        if pr is None:
+        else:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, m):
-            head = rows[i][col]
-            ri, rr = rows[i], rows[r]
-            for c in range(col, ncols):
-                num = ri[c] * piv - head * rr[c]
-                q, rem = divmod(num, prev)
-                if rem != 0:  # would mean the one-step divisibility broke
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                ri[c] = q
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        if reduced:
+            _pivot_step(rows[:r], prow, col, prev)
+        _pivot_step(rows[r + 1:], prow, col, prev, col)  # zero left of col below the pivot
         pivots.append((r, col))
-        prev = piv
+        prev = prow[col]
         r += 1
         if r == m:
             break
@@ -115,8 +129,7 @@ def rank(A) -> int:
     rows = _rows_of(A)
     if not rows or not rows[0]:
         return 0
-    int_rows = [_integerize(r) for r in rows]
-    _, pivots = _bareiss_echelon(int_rows, len(rows[0]))
+    _, pivots = _bareiss_echelon([_integerize(r) for r in rows], len(rows[0]))
     return len(pivots)
 
 
@@ -134,8 +147,7 @@ def kernel_basis(A) -> tuple[int, list[list]]:
         return 0, []
     if m == 0:
         return 0, [[R1 if j == i else R0 for j in range(n)] for i in range(n)]
-    int_rows = [_integerize(r) for r in rows]
-    ech, pivots = _bareiss_echelon(int_rows, n)
+    ech, pivots = _bareiss_echelon([_integerize(r) for r in rows], n)
     rnk = len(pivots)
     pivot_cols = [c for _, c in pivots]
     pivot_set = set(pivot_cols)
@@ -174,7 +186,7 @@ def solve_linear(A, b) -> list | None:
     if n == 0:
         return [] if all(x == 0 for x in bvec) else None
     aug = [_integerize(list(rows[i]) + [bvec[i]]) for i in range(m)]
-    ech, pivots = _bareiss_echelon(aug, n + 1, pivot_cols_limit=n)
+    ech, pivots = _bareiss_echelon(aug, n)
     rnk = len(pivots)
     for r in range(rnk, m):
         if ech[r][n] != 0:
@@ -199,34 +211,12 @@ def rref(rows) -> tuple[tuple[int, ...], tuple]:
     the same space iff their rrefs are equal, which is what the
     span-comparison tests rely on.
     """
-    work = [[rat(x) for x in row] for row in rows]
-    m = len(work)
-    if m == 0:
+    work = _rows_of(rows)
+    if not work:
         return (), ()
-    n = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        pr = None
-        for i in range(r, m):
-            if work[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][col]
-        work[r] = [x / piv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    keep = tuple(tuple(row) for row in work[:r])
-    return tuple(pivots), keep
+    ech, pivots = _bareiss_echelon([_integerize(r) for r in work], len(work[0]), reduced=True)
+    keep = tuple(tuple(rat(x, ech[r][c]) for x in ech[r]) for r, c in pivots)
+    return tuple(c for _, c in pivots), keep
 
 
 def dot(u, v):
@@ -258,58 +248,59 @@ def is_zero_vec(u) -> bool:
 
 
 class _Tableau:
-    """Dense simplex tableau over rationals, Bland pivoting throughout."""
+    """Dense simplex tableau with Bland pivoting throughout.
 
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.rows: list[list] = []  # each length nvars + 1, rhs last
-        self.basis: list[int] = []
+    Entry (i, j) is rows[i][j] / den: integer rows, rhs last, over one
+    shared denominator den > 0, so every sign test reads the integers
+    directly.  A basic column holds den in its row and 0 elsewhere.
+    """
 
-    def pivot(self, r: int, col: int) -> None:
-        piv = self.rows[r][col]
-        inv = R1 / piv
-        self.rows[r] = [x * inv for x in self.rows[r]]
+    def __init__(self, rows: list[list[int]], basis: list[int]):
+        self.rows = rows
+        self.basis = basis
+        self.den = 1
+
+    def pivot(self, r: int, col: int, z=None) -> None:
+        """Make col basic in row r; the objective row z, if given, is pivoted along."""
         prow = self.rows[r]
-        for i, row in enumerate(self.rows):
-            if i != r and row[col] != 0:
-                f = row[col]
-                self.rows[i] = [a - f * b for a, b in zip(row, prow)]
+        if prow[col] < 0:  # negate the pivot row (the same equation) so den stays > 0
+            prow[:] = [-x for x in prow]
+        others = self.rows[:r] + self.rows[r + 1:]
+        _pivot_step(others if z is None else others + [z], prow, col, self.den)
         self.basis[r] = col
+        self.den = prow[col]
 
-    def run(self, obj: list, allowed: int) -> list:
-        """Maximize obj (length nvars) over columns < allowed.
+    def run(self, obj: list[int], allowed: int) -> list[int]:
+        """Maximize obj (integers, length nvars) over columns < allowed.
 
-        Returns the final reduced-cost row; raises on unboundedness,
-        which callers here never trigger by construction.
+        Returns the final reduced-cost row times a positive factor; raises on
+        unboundedness, which callers here never trigger by construction.
         """
-        z = list(obj) + [R0]
+        den = self.den
+        z = [c * den for c in obj] + [0]
         for r, bv in enumerate(self.basis):
-            if z[bv] != 0:
-                f = z[bv]
-                z = [a - f * b for a, b in zip(z, self.rows[r])]
+            if z[bv]:
+                _pivot_step([z], self.rows[r], bv, den)
         while True:
-            enter = None
-            for j in range(allowed):
-                if z[j] > 0:  # increasing x_j improves the objective
-                    enter = j
-                    break
+            # increasing x_j improves the objective
+            enter = next((j for j in range(allowed) if z[j] > 0), None)
             if enter is None:
                 return z
             leave = None
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
+                    if leave is None:
+                        leave = i
+                        continue
+                    # row[-1] / a against the best ratio, cross-multiplied (both pivots > 0)
+                    lhs = row[-1] * self.rows[leave][enter]
+                    rhs = self.rows[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:
                 raise ArithmeticError("unbounded LP")
-            self.pivot(leave, enter)
-            f = z[enter]
-            if f != 0:
-                z = [a - f * b for a, b in zip(z, self.rows[leave])]
+            self.pivot(leave, enter, z)
 
 
 def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -325,43 +316,31 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     b_eq = [] if b_eq is None else b_eq
     n = len(obj)
     n_slack = len(A_ub)
-    rows_raw = []
     # (coeffs over structural vars, slack sign, rhs); slack sign 0 for eq rows
-    for arow, rhs in zip(A_ub, b_ub):
-        rows_raw.append(([rat(x) for x in arow], 1, rat(rhs)))
-    for arow, rhs in zip(A_eq, b_eq):
-        rows_raw.append(([rat(x) for x in arow], 0, rat(rhs)))
-
-    art_rows = []
-    for i, (arow, slk, rhs) in enumerate(rows_raw):
-        if rhs < 0:
-            rows_raw[i] = ([-x for x in arow], -slk, -rhs)
-    for i, (arow, slk, rhs) in enumerate(rows_raw):
-        if slk != 1:
-            art_rows.append(i)
+    rows_raw = [([rat(x) for x in arow], 1, rat(rhs)) for arow, rhs in zip(A_ub, b_ub)]
+    rows_raw += [([rat(x) for x in arow], 0, rat(rhs)) for arow, rhs in zip(A_eq, b_eq)]
+    rows_raw = [([-x for x in a], -slk, -rhs) if rhs < 0 else (a, slk, rhs) for a, slk, rhs in rows_raw]
+    art_rows = [i for i, (_, slk, _) in enumerate(rows_raw) if slk != 1]
 
     n_art = len(art_rows)
     nvars = n + n_slack + n_art
-    T = _Tableau(nvars)
     art_of = {ri: n + n_slack + k for k, ri in enumerate(art_rows)}
-    slack_idx = 0
+    rows, basis = [], []
     for i, (arow, slk, rhs) in enumerate(rows_raw):
-        full = list(arow) + [R0] * (n_slack + n_art) + [rhs]
+        full = arow + [R0] * (n_slack + n_art) + [rhs]
         if i < n_slack:
-            full[n + slack_idx] = rat(slk)
-            slack_idx += 1
-        if i in art_of:
-            full[art_of[i]] = R1
-            T.basis.append(art_of[i])
-        else:
-            T.basis.append(n + i)  # the slack, coefficient +1, rhs >= 0
-        T.rows.append(full)
+            full[n + i] = rat(slk)
+        basis.append(art_of.get(i, n + i))  # else the slack, coefficient +1 as rhs >= 0
+        full[basis[-1]] = R1
+        rows.append(_integerize(full))
+    T = _Tableau(rows, basis)
+    # each row was scaled by its own positive factor: pivot the starting basis in
+    for r, bv in enumerate(basis):
+        if T.rows[r][bv] != T.den:
+            T.pivot(r, bv)
 
     if n_art:
-        phase1 = [R0] * nvars
-        for ri in art_rows:
-            phase1[art_of[ri]] = -R1
-        z = T.run(phase1, allowed=nvars)
+        z = T.run([0] * (n + n_slack) + [-1] * n_art, allowed=nvars)
         if z[-1] != 0:  # leftover artificial mass
             return "infeasible", None, None
         # drive artificials out of the basis or drop redundant rows
@@ -374,14 +353,13 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
                 else:
                     T.pivot(r, col)
 
-    obj_full = [rat(x) for x in obj] + [R0] * (n_slack + n_art)
-    z = T.run(obj_full, allowed=n + n_slack)
+    obj = [rat(x) for x in obj]
+    T.run(_integerize(obj + [R0] * (n_slack + n_art)), allowed=n + n_slack)
     x = [R0] * n
     for r, bv in enumerate(T.basis):
         if bv < n:
-            x[bv] = T.rows[r][-1]
-    value = dot([rat(c) for c in obj], x)
-    return "optimal", x, value
+            x[bv] = rat(T.rows[r][-1], T.den)
+    return "optimal", x, dot(obj, x)
 
 
 def strict_feasible(basis, strict_coords, weak_coords):
@@ -403,21 +381,21 @@ def strict_feasible(basis, strict_coords, weak_coords):
     for i in strict + weak:
         if not 0 <= i < ncoords:
             raise InvalidArgument(f"coordinate {i} out of range")
+    # a positive scaling of each basis vector scales the LP's columns,
+    # which changes neither Bland's pivot sequence nor the witness
+    basis = [_integerize([rat(x) for x in B]) for B in basis]
     # vars: u_0..u_{g-1}, v_0..v_{g-1}, t; coefficients c_j = u_j - v_j
-    nv = 2 * g + 1
     A_ub = []
     b_ub = []
     for i in strict:
-        row = [-B[i] for B in basis] + [B[i] for B in basis] + [R1]
-        A_ub.append(row)
-        b_ub.append(R0)
+        A_ub.append([-B[i] for B in basis] + [B[i] for B in basis] + [1])
+        b_ub.append(0)
     for i in weak:
-        row = [B[i] for B in basis] + [-B[i] for B in basis] + [R0]
-        A_ub.append(row)
-        b_ub.append(R0)
-    A_ub.append([R0] * (2 * g) + [R1])
-    b_ub.append(R1)
-    obj = [R0] * (2 * g) + [R1]
+        A_ub.append([B[i] for B in basis] + [-B[i] for B in basis] + [0])
+        b_ub.append(0)
+    A_ub.append([0] * (2 * g) + [1])
+    b_ub.append(1)
+    obj = [0] * (2 * g) + [1]
     status, xvars, value = simplex(obj, A_ub=A_ub, b_ub=b_ub)
     if status != "optimal" or value <= 0:
         return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd
 
 from . import exactla
 from .errors import (
@@ -129,9 +130,7 @@ def altitude_vector(F, v: int, p: Embedding):
 def _primitive(vec):
     """Scale a rational vector to coprime integers, keeping direction."""
     ints = exactla._integerize([rat(x) for x in vec])
-    g = 0
-    for x in ints:
-        g = exactla._gcd(g, x if x >= 0 else -x)
+    g = gcd(*ints)
     if g == 0:
         return [R0 for _ in ints]
     return [rat(x, g) for x in ints]

@@ -12,14 +12,9 @@ from __future__ import annotations
 from .errors import ParseError
 
 try:
-    from gmpy2 import mpq as Rat, mpz as Int  # type: ignore
-
-    _HAVE_GMPY2 = True
+    from gmpy2 import mpq as Rat  # type: ignore
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
-
-    Int = int
-    _HAVE_GMPY2 = False
 
 R0 = Rat(0)
 R1 = Rat(1)

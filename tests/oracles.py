@@ -4,8 +4,10 @@ Everything here recomputes a quantity along a different route than the
 package takes: face counts by brute closure, stress membership by
 direct differentiation of the full polynomial, sign-pattern
 feasibility by Fourier-Motzkin elimination, ranks by plain Fraction
-Gaussian elimination, cyclic facets by the evenness condition.  Slow
-and simple on purpose.
+Gaussian elimination, cyclic facets by the evenness condition, LP
+optima and rrefs by the Fraction simplex tableau and Gauss-Jordan loop
+that exactla's integer pivot step replaced.  Slow and simple on
+purpose.
 """
 
 from fractions import Fraction
@@ -168,3 +170,102 @@ def gauss_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan over Fraction: (pivot columns, nonzero rows), as exactla.rref."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        work[r] = [x / work[r][col] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return tuple(pivots), tuple(tuple(row) for row in work[: len(pivots)])
+
+
+# --- the dense two-phase Fraction simplex that exactla's integer tableau replaced
+
+
+class _FractionTableau:
+    """Simplex tableau over Fraction, Bland pivoting throughout."""
+
+    def __init__(self):
+        self.rows = []  # rhs last
+        self.basis = []
+
+    def pivot(self, r, col):
+        inv = 1 / self.rows[r][col]
+        self.rows[r] = [x * inv for x in self.rows[r]]
+        prow = self.rows[r]
+        for i, row in enumerate(self.rows):
+            if i != r and row[col] != 0:
+                f = row[col]
+                self.rows[i] = [a - f * b for a, b in zip(row, prow)]
+        self.basis[r] = col
+
+    def run(self, obj, allowed):
+        z = list(obj) + [Fraction(0)]
+        for r, bv in enumerate(self.basis):
+            if z[bv] != 0:
+                f = z[bv]
+                z = [a - f * b for a, b in zip(z, self.rows[r])]
+        while True:
+            enter = next((j for j in range(allowed) if z[j] > 0), None)
+            if enter is None:
+                return z
+            leave = best = None
+            for i, row in enumerate(self.rows):
+                if row[enter] > 0:
+                    ratio = row[-1] / row[enter]
+                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
+                        best, leave = ratio, i
+            if leave is None:
+                raise ArithmeticError("unbounded LP")
+            self.pivot(leave, enter)
+            f = z[enter]
+            z = [a - f * b for a, b in zip(z, self.rows[leave])]
+
+
+def fraction_simplex(obj, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
+    """Same contract, pivot rules and outputs as exactla.simplex."""
+    n, n_slack = len(obj), len(A_ub)
+    raw = [([Fraction(x) for x in a], 1, Fraction(b)) for a, b in zip(A_ub, b_ub)]
+    raw += [([Fraction(x) for x in a], 0, Fraction(b)) for a, b in zip(A_eq, b_eq)]
+    raw = [([-x for x in a], -s, -b) if b < 0 else (a, s, b) for a, s, b in raw]
+    art_rows = [i for i, (_, s, _) in enumerate(raw) if s != 1]
+    n_art = len(art_rows)
+    art_of = {ri: n + n_slack + k for k, ri in enumerate(art_rows)}
+    T = _FractionTableau()
+    for i, (a, s, b) in enumerate(raw):
+        full = a + [Fraction(0)] * (n_slack + n_art) + [b]
+        if i < n_slack:
+            full[n + i] = Fraction(s)
+        T.basis.append(art_of.get(i, n + i))
+        full[T.basis[-1]] = Fraction(1)
+        T.rows.append(full)
+    if n_art:
+        z = T.run([Fraction(0)] * (n + n_slack) + [Fraction(-1)] * n_art, n + n_slack + n_art)
+        if z[-1] != 0:
+            return "infeasible", None, None
+        for r in range(len(T.rows) - 1, -1, -1):
+            if T.basis[r] >= n + n_slack:
+                col = next((c for c in range(n + n_slack) if T.rows[r][c] != 0), None)
+                if col is None:
+                    del T.rows[r]
+                    del T.basis[r]
+                else:
+                    T.pivot(r, col)
+    T.run([Fraction(c) for c in obj] + [Fraction(0)] * (n_slack + n_art), n + n_slack)
+    x = [Fraction(0)] * n
+    for r, bv in enumerate(T.basis):
+        if bv < n:
+            x[bv] = T.rows[r][-1]
+    return "optimal", x, sum((Fraction(c) * v for c, v in zip(obj, x)), Fraction(0))

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import gauss_rank, sign_system_feasible
+from oracles import fraction_rref, fraction_simplex, gauss_rank, sign_system_feasible
 from polystress import exactla
 from polystress.errors import ParseError
 from polystress.exactla import (
@@ -137,6 +137,86 @@ def test_simplex_equality():
     assert status == "optimal"
     assert val == Rat(1, 3)
     assert x[0] + x[1] == 1
+
+
+def test_simplex_drive_out_and_redundant_row():
+    # phase 1 ends with three artificials basic at zero: two leave on
+    # negative pivots, the third sits on a redundant row that is dropped
+    out = simplex(
+        [2, Rat(-3, 2)],
+        A_ub=[[1, 1]],
+        b_ub=[5],
+        A_eq=[[0, Rat(-3, 2)], [0, -1], [Rat(-3, 2), -1]],
+        b_eq=[0, 0, 0],
+    )
+    assert out == ("optimal", [Rat(0), Rat(0)], Rat(0))
+
+
+def test_simplex_unbounded_raises():
+    with pytest.raises(ArithmeticError):
+        simplex([1, 0], A_ub=[[-1, 1]], b_ub=[0])
+
+
+# --- integer tableau and rref vs the Fraction versions they replaced
+
+small_rats = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=7))
+
+
+@st.composite
+def rat_rows(draw, ncols, max_rows):
+    rows = draw(st.lists(st.lists(small_rats, min_size=ncols, max_size=ncols), max_size=max_rows))
+    if rows and draw(st.booleans()):  # a dependent row
+        c = draw(small_rats)
+        rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+@st.composite
+def small_lp(draw):
+    n = draw(st.integers(1, 3))
+    A_ub = draw(rat_rows(n, 3))
+    A_eq = draw(rat_rows(n, 3))
+    b_ub = [draw(small_rats) for _ in A_ub]
+    if draw(st.booleans()):  # equalities through a point x0 >= 0, so dependent rows stay consistent
+        x0 = [abs(draw(small_rats)) for _ in range(n)]
+        b_eq = [sum(a * x for a, x in zip(row, x0)) for row in A_eq]
+    else:
+        b_eq = [draw(small_rats) for _ in A_eq]
+    # a zero objective makes x the vertex phase 1 stops at
+    obj = [draw(small_rats) for _ in range(n)] if draw(st.booleans()) else [0] * n
+    return obj, A_ub, b_ub, A_eq, b_eq
+
+
+def _outcome(solve, obj, **kw):
+    try:
+        return solve(obj, **kw)
+    except ArithmeticError as exc:  # "unbounded LP" on both sides, anything else differs
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_lp())
+# rows with denominators must leave the phase-1 pivot path, and so this
+# feasibility LP's answer, as it was; random cases rarely tell
+@example(
+    (
+        [0, 0, 0],
+        [[Fraction(-20, 7), 0, Fraction(-5, 2)]],
+        [2],
+        [[Fraction(-23, 7), -3, Fraction(1, 2)], [0, Fraction(13, 5), 3]],
+        [0, Fraction(18, 7)],
+    )
+)
+def test_simplex_matches_fraction_tableau(lp):
+    obj, A_ub, b_ub, A_eq, b_eq = lp
+    kw = dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    assert _outcome(simplex, obj, **kw) == _outcome(fraction_simplex, obj, **kw)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 5).flatmap(lambda n: rat_rows(n, 5)))
+def test_rref_matches_fraction_gauss_jordan(rows):
+    assert rref(rows) == fraction_rref(rows)
 
 
 # --- strict_feasible vs Fourier-Motzkin oracle
