@@ -23,17 +23,10 @@ import random
 from itertools import combinations
 
 from . import exactla
-from .errors import InvalidArgument, NotSimplicial, ParseError
-from .geometry import (
-    Embedding,
-    PolytopeInstance,
-    ValidationReport,
-    brute_force_facets,
-    facet_normal,
-    validate,
-)
-from .rat import R0, R1, Rat, parse_rat, rat, rat_str
-from .simplicial import SimplicialComplex, build_complex, face_key
+from .errors import InvalidArgument, ParseError
+from .geometry import Embedding, PolytopeInstance, facet_normal, validate
+from .rat import R0, R1, parse_rat, rat, rat_str
+from .simplicial import build_complex, face_key
 
 __all__ = [
     "generate",
@@ -247,10 +240,10 @@ def decode(text: str) -> PolytopeInstance:
     if extra:
         raise ParseError(f"top level: unknown fields {extra}")
     d = doc["dimension"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ParseError("dimension: expected a positive integer")
     verts = doc["vertices"]
-    if not isinstance(verts, list) or not all(isinstance(v, int) and v >= 0 for v in verts):
+    if not isinstance(verts, list) or not all(type(v) is int and v >= 0 for v in verts):
         raise ParseError("vertices: expected a list of nonnegative integers")
     if len(set(verts)) != len(verts):
         raise ParseError("vertices: duplicate labels")
@@ -276,7 +269,7 @@ def decode(text: str) -> PolytopeInstance:
         raise ParseError("facets: expected a nonempty list")
     facets = []
     for idx, F in enumerate(facets_doc):
-        if not isinstance(F, list) or not all(isinstance(v, int) for v in F):
+        if not isinstance(F, list) or not all(type(v) is int for v in F):
             raise ParseError(f"facets[{idx}]: expected a list of integers")
         if not set(F) <= vert_set:
             raise ParseError(f"facets[{idx}]: label outside the vertex list")

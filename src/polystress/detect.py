@@ -35,10 +35,11 @@ from .geometry import (
     segment_hull_meet,
     validate,
 )
-from .rat import R0, R1, rat, sign
+from .rat import R0, R1, sign
 from .simplicial import (
     SimplicialComplex,
     build_complex,
+    extensions,
     face_key,
     link,
     missing_faces,
@@ -77,9 +78,8 @@ class Certificate:
     pattern: dict
 
 
-def _pattern_for(sv: StressVector, carrier_faces, F, M, vertices) -> dict:
+def _pattern_for(sv: StressVector, carrier_faces, F, vertices) -> dict:
     Fset = set(F)
-    Mset = set(M)
     out = {}
     for u in vertices:
         if u in Fset:
@@ -181,7 +181,7 @@ def _feasible_certificate(k, space, skel, M, F):
     if witness is None:
         return None
     sv = StressVector.from_vector(k, face_order, witness)
-    pattern = _pattern_for(sv, set(face_order), F, M, skel.vertices)
+    pattern = _pattern_for(sv, set(face_order), F, skel.vertices)
     return Certificate(missing=face_key(M), base=face_key(F), stress=sv, pattern=pattern)
 
 
@@ -211,30 +211,27 @@ def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
     """Candidate sets of size k+1 .. d-k+1 whose k-subsets are all
     faces, split into (certified minimal, admissible but uncertified).
 
-    Certified supersets of already-certified sets are skipped, so the
-    first list holds the minimal certified elements in (size, lex)
-    order.
+    Candidates of each size are the extensions of the previous size's
+    uncertified candidates (starting from the k-faces), so supersets of
+    certified sets are never tried and the first list holds the minimal
+    certified elements in (size, lex) order.
     """
     if k < 2:
         raise InvalidArgument("certificate sweeps need k >= 2")
-    V = skel.vertices
     space = _stress_space(skel, basis, k)
-    index = space[1]
+    level = skel.face_set(k)
     certified: list[tuple] = []
     open_candidates: list[tuple] = []
-    for size in range(k + 1, d - k + 2):
-        for M in combinations(V, size):
-            Mset = set(M)
-            if any(set(prev) <= Mset for prev in certified):
-                continue
-            if any(S not in index for S in combinations(M, k)):
-                continue
-            if skel.has_face(M):
-                continue  # visible face, nothing to certify
-            if any(_feasible_certificate(k, space, skel, M, F) for F in combinations(M, k - 1)):
-                certified.append(M)
-            else:
+    for _ in range(k + 1, d - k + 2):
+        grown = set()
+        for M in extensions(level, skel.vertices):
+            if not skel.has_face(M):  # a visible face has nothing to certify
+                if any(_feasible_certificate(k, space, skel, M, F) for F in combinations(M, k - 1)):
+                    certified.append(M)
+                    continue  # no superset of M is a candidate
                 open_candidates.append(M)
+            grown.add(M)
+        level = grown
     return certified, open_candidates
 
 
@@ -484,7 +481,7 @@ def sign_changes(sv: StressVector, P: PolytopeInstance, v: int) -> int:
 
 def _check_neighborly(K: SimplicialComplex, k: int) -> None:
     n = len(K.vertices)
-    if len(K.faces_of_size(k)) != comb(n, k):
+    if len(K.face_set(k)) != comb(n, k):
         raise NotNeighborlyEnough(f"not {k}-neighborly: some {k}-subset is not a face")
 
 
@@ -552,8 +549,8 @@ def neighborly_certificate(P: PolytopeInstance, M, k: int) -> Certificate:
             phi[v] = x[j] if v in Mset else -x[j]
     sv = power_stress(phi, k, K, p)
     F = M[: k - 1]
-    faces_k = set(K.faces_of_size(k))
-    pattern = _pattern_for(sv, faces_k | {face_key(set(F) | {v}) for v in M[k - 1:]}, F, M, V)
+    faces_k = K.face_set(k)
+    pattern = _pattern_for(sv, faces_k | {face_key(set(F) | {v}) for v in M[k - 1:]}, F, V)
     return Certificate(missing=M, base=F, stress=sv, pattern=pattern)
 
 

@@ -22,8 +22,8 @@ from .errors import (
     NotAVertex,
     NotSimplicial,
 )
-from .rat import R0, R1, Rat, rat
-from .simplicial import SimplicialComplex, build_complex, face_key, star_link
+from .rat import R0, R1, rat
+from .simplicial import SimplicialComplex, face_key, star_link
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class Embedding:
     def build(dim: int, mapping) -> "Embedding":
         coords = {}
         for v, pt in mapping.items():
+            if any(isinstance(x, (bool, float)) for x in pt):
+                raise InvalidArgument(f"point for vertex {v} has a float or bool coordinate; use ints or rationals")
             tup = tuple(rat(x) for x in pt)
             if len(tup) != dim:
                 raise InvalidArgument(f"point for vertex {v} has length {len(tup)}, expected {dim}")

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .detect import certificate_sweep
 from .errors import CompletionFailure, InvalidArgument, ReconstructionFailure
-from .simplicial import SimplicialComplex, build_complex, face_key, missing_faces, skeleton
+from .simplicial import SimplicialComplex, extensions, face_key, missing_faces, skeleton
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,18 @@ def reconstruct_skeleton(skel: SimplicialComplex, basis, d: int, k: int) -> Simp
 
 
 def _avoiding_complex(vertices, missing_list, max_size: int) -> SimplicialComplex:
-    miss = [set(M) for M in missing_list]
-    faces = []
-    for size in range(1, max_size + 1):
-        for S in combinations(vertices, size):
-            Sset = set(S)
-            if not any(m <= Sset for m in miss):
-                faces.append(S)
-    return build_complex(faces)
+    """The sets of at most max_size vertices that contain no missing
+    face.  Level s holds the extensions of level s-1 that are not
+    missing themselves; its facets are the sets no extension covers."""
+    miss = {face_key(set(M)) for M in missing_list}
+    levels = [{()} - miss]
+    for _ in range(max_size):
+        levels.append({S for S in extensions(levels[-1], vertices) if S not in miss})
+    facets = []
+    for level, above in zip(levels, levels[1:] + [set()]):
+        covered = {S[:j] + S[j + 1 :] for S in above for j in range(len(S))}
+        facets.extend(frozenset(S) for S in level - covered)
+    return SimplicialComplex(facets=frozenset(facets))
 
 
 def complete_prime(skelDK: SimplicialComplex, missing, d: int) -> SimplicialComplex:
@@ -102,29 +106,22 @@ def complete_prime(skelDK: SimplicialComplex, missing, d: int) -> SimplicialComp
     and full missing-face list.
 
     Facets are the d-subsets avoiding every missing face.  Validity
-    of the claim is checked: every smaller avoiding set lies under
-    some facet, every ridge is in exactly two facets, and the dual
-    graph is connected.  Violations mean the primeness precondition
-    was wrong and raise CompletionFailure.
+    of the claim is checked: the avoiding sets of at most d vertices
+    form a pure complex, every ridge is in exactly two facets, and
+    the dual graph is connected.  Violations mean the primeness
+    precondition was wrong and raise CompletionFailure.
     """
     V = skelDK.vertices
-    miss = [set(M) for M in missing]
-    for m in miss:
-        if not m <= set(V):
-            raise InvalidArgument(f"missing face {sorted(m)} uses unknown vertices")
-
-    def avoiding(S) -> bool:
-        Sset = set(S)
-        return not any(m <= Sset for m in miss)
-
-    facets = [S for S in combinations(V, d) if avoiding(S)]
+    for M in missing:
+        if not set(M) <= set(V):
+            raise InvalidArgument(f"missing face {sorted(M)} uses unknown vertices")
+    K = _avoiding_complex(V, missing, d)
+    facets = [F for F in K.facet_keys if len(F) == d]
     if not facets:
         raise CompletionFailure("no candidate facets avoid the missing faces")
-
-    for size in range(1, d):
-        for S in combinations(V, size):
-            if avoiding(S) and not any(set(S) <= set(T) for T in facets):
-                raise CompletionFailure(f"maximal face {S} has size {size} < d; input is not a prime boundary")
+    if len(facets) < len(K.facets):
+        S = min((F for F in K.facet_keys if len(F) < d), key=lambda F: (len(F), F))
+        raise CompletionFailure(f"maximal face {S} has size {len(S)} < d; input is not a prime boundary")
 
     ridge_count: dict[tuple, list[int]] = {}
     for i, T in enumerate(facets):
@@ -134,20 +131,16 @@ def complete_prime(skelDK: SimplicialComplex, missing, d: int) -> SimplicialComp
         if len(owners) != 2:
             raise CompletionFailure(f"ridge {rd} lies in {len(owners)} facets, expected 2")
 
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for rd in combinations(facets[i], d - 1):
-                for j in ridge_count[rd]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-        frontier = nxt
+    seen, stack = {0}, [0]
+    while stack:
+        for rd in combinations(facets[stack.pop()], d - 1):
+            for j in ridge_count[rd]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
     if len(seen) != len(facets):
         raise CompletionFailure("facet dual graph is disconnected")
-    return build_complex(facets)
+    return K
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Abstract simplicial complexes with integer vertex labels.
 
-A complex is stored by its facets (inclusionwise maximal faces); all
-other faces exist implicitly and membership is a subset-of-some-facet
-test.  Face enumeration materializes single sizes on demand, which is
-cheap at the scales this package targets.
+A complex is stored by its facets (inclusionwise maximal faces); the
+faces of each size are cached as a set of sorted tuples on first use,
+so membership is a set lookup.  Subset-closed families of vertex sets
+are grown one vertex at a time by `extensions`, never by enumeration.
 
 Vertex labels are arbitrary nonnegative ints supplied by the caller.
 `vertex_index` maps them to dense positions 0..n-1 (sorted label
@@ -37,6 +37,7 @@ class SimplicialComplex:
     """
 
     facets: frozenset
+    _face_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -57,23 +58,28 @@ class SimplicialComplex:
     def facet_keys(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(face_key(F) for F in self.facets))
 
+    def _faces(self, s: int) -> frozenset:
+        return frozenset(T for G in self.facet_keys for T in combinations(G, s)) if s >= 0 else frozenset()
+
+    def face_set(self, s: int) -> frozenset:
+        """The faces with s vertices as sorted tuples, cached per size."""
+        faces = self._face_sets.get(s)
+        if faces is None:
+            faces = self._face_sets[s] = self._faces(s)
+        return faces
+
     def has_face(self, F) -> bool:
-        F = frozenset(F)
-        return any(F <= G for G in self.facets)
+        try:
+            F = face_key(set(F))
+        except TypeError:  # labels that do not sort together are not all int vertices
+            return False
+        return F in self.face_set(len(F))
 
     __contains__ = has_face
 
     def faces_of_size(self, s: int) -> list[tuple[int, ...]]:
         """All faces with s vertices, as sorted tuples in sorted order."""
-        if s < 0:
-            return []
-        if s == 0:
-            return [()]
-        found = set()
-        for G in self.facets:
-            if len(G) >= s:
-                found.update(combinations(face_key(G), s))
-        return sorted(found)
+        return sorted(self.face_set(s))
 
     def faces_of_dim(self, i: int) -> list[tuple[int, ...]]:
         return self.faces_of_size(i + 1)
@@ -86,8 +92,9 @@ class SimplicialComplex:
         return out
 
     def f_counts(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_dim) as a plain tuple."""
-        return tuple(len(self.faces_of_size(s)) for s in range(self.dim + 2))
+        """(f_-1, f_0, ..., f_dim) as a plain tuple.  Not cached: validation
+        counts every size of every instance, most never looked up again."""
+        return tuple(len(self._faces(s)) for s in range(self.dim + 2))
 
     def is_pure(self) -> bool:
         return all(len(F) == self.dim + 1 for F in self.facets)
@@ -144,26 +151,31 @@ def link(K: SimplicialComplex, F) -> SimplicialComplex:
     return star_link(K, F)[1]
 
 
+def extensions(level, vertices):
+    """The (s+1)-sets whose s-subsets all lie in `level` (s-sets as
+    sorted tuples), in lex order: each set S gains a vertex of
+    `vertices` above its largest one."""
+    vertices = sorted(vertices)
+    for S in sorted(level):
+        for v in vertices:
+            if S and v <= S[-1]:
+                continue
+            T = S + (v,)
+            if all(T[:j] + T[j + 1 :] in level for j in range(len(S))):
+                yield T
+
+
 def missing_faces(K: SimplicialComplex, max_card: int) -> list[tuple[int, ...]]:
     """Minimal non-faces with at most max_card vertices, sorted.
 
     M is a missing face when M itself is not in K but every proper
-    subset is.  Enumerates over subsets of the vertex set, which is
-    fine for the vertex counts this package works at.
+    subset is, so the candidates of size s are the extensions of the
+    (s-1)-faces, and s stops at dim + 2.
     """
     if max_card < 1:
         raise InvalidArgument("max_card must be at least 1")
-    V = K.vertices
-    out = []
-    for s in range(1, min(max_card, len(V)) + 1):
-        for M in combinations(V, s):
-            MF = frozenset(M)
-            if K.has_face(MF):
-                continue
-            boundary_in = all(K.has_face(MF - {v}) for v in M)
-            if boundary_in:
-                out.append(M)
-    return sorted(out, key=lambda M: (len(M), M))
+    sizes = range(1, min(max_card, K.dim + 2) + 1)
+    return [M for s in sizes for M in extensions(K.face_set(s - 1), K.vertices) if not K.has_face(M)]
 
 
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exactla import RatMatrix
 from .geometry import Embedding, affine_rank, altitude_vector
-from .rat import R0, R1, Rat, rat, sign
+from .rat import R0, R1, rat, sign
 from .simplicial import SimplicialComplex, face_key, skeleton
 
 

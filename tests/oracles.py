@@ -6,13 +6,20 @@ direct differentiation of the full polynomial, sign-pattern
 feasibility by Fourier-Motzkin elimination, ranks by plain Fraction
 Gaussian elimination, cyclic facets by the evenness condition, LP
 optima and rrefs by the Fraction simplex tableau and Gauss-Jordan loop
-that exactla's integer pivot step replaced.  Slow and simple on
-purpose.
+that exactla's integer pivot step replaced, and face membership,
+missing faces, avoiding complexes, prime completion and certificate
+sweeps by scanning facets and enumerating subsets of the vertex set,
+as the package did before it grew vertex sets one vertex at a time.
+Slow and simple on purpose.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+
+from polystress.detect import _feasible_certificate, _stress_space
+from polystress.errors import CompletionFailure
+from polystress.simplicial import build_complex
 
 
 def closure_faces(facets):
@@ -269,3 +276,87 @@ def fraction_simplex(obj, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
         if bv < n:
             x[bv] = T.rows[r][-1]
     return "optimal", x, sum((Fraction(c) * v for c, v in zip(obj, x)), Fraction(0))
+
+
+# --- combinatorics by subset enumeration and facet scans
+
+
+def scan_has_face(K, F):
+    F = frozenset(F)
+    return any(F <= G for G in K.facets)
+
+
+def subset_missing_faces(K, max_card):
+    """Minimal non-faces of at most max_card vertices over all subsets."""
+    V = K.vertices
+    out = []
+    for s in range(1, min(max_card, len(V)) + 1):
+        for M in combinations(V, s):
+            MF = frozenset(M)
+            if not scan_has_face(K, MF) and all(scan_has_face(K, MF - {v}) for v in M):
+                out.append(M)
+    return sorted(out, key=lambda M: (len(M), M))
+
+
+def subset_avoiding_complex(vertices, missing_list, max_size):
+    miss = [set(M) for M in missing_list]
+    faces = []
+    for size in range(1, max_size + 1):
+        for S in combinations(vertices, size):
+            if not any(m <= set(S) for m in miss):
+                faces.append(S)
+    return build_complex(faces)
+
+
+def subset_complete_prime(skelDK, missing, d):
+    """The d-subsets avoiding every missing face, with the old checks:
+    every smaller avoiding set under some facet, ridges in exactly two
+    facets, a connected dual graph."""
+    V = skelDK.vertices
+    miss = [set(M) for M in missing]
+
+    def avoiding(S):
+        return not any(m <= set(S) for m in miss)
+
+    facets = [S for S in combinations(V, d) if avoiding(S)]
+    if not facets:
+        raise CompletionFailure("no candidate facets avoid the missing faces")
+    for size in range(1, d):
+        for S in combinations(V, size):
+            if avoiding(S) and not any(set(S) <= set(T) for T in facets):
+                raise CompletionFailure(f"maximal face {S} has size {size} < d")
+    ridges = {}
+    for i, T in enumerate(facets):
+        for rd in combinations(T, d - 1):
+            ridges.setdefault(rd, []).append(i)
+    for rd, owners in sorted(ridges.items()):
+        if len(owners) != 2:
+            raise CompletionFailure(f"ridge {rd} lies in {len(owners)} facets, expected 2")
+    seen, stack = {0}, [0]
+    while stack:
+        for rd in combinations(facets[stack.pop()], d - 1):
+            for j in ridges[rd]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    if len(seen) != len(facets):
+        raise CompletionFailure("facet dual graph is disconnected")
+    return build_complex(facets)
+
+
+def subset_sweep(skel, basis, d, k):
+    """certificate_sweep over every vertex subset in the size window,
+    skipping supersets of certified sets by a scan of the certified list."""
+    space = _stress_space(skel, basis, k)
+    certified, open_candidates = [], []
+    for size in range(k + 1, d - k + 2):
+        for M in combinations(skel.vertices, size):
+            if any(set(prev) <= set(M) for prev in certified):
+                continue
+            if any(S not in space[1] for S in combinations(M, k)) or scan_has_face(skel, M):
+                continue
+            if any(_feasible_certificate(k, space, skel, M, F) for F in combinations(M, k - 1)):
+                certified.append(M)
+            else:
+                open_candidates.append(M)
+    return certified, open_candidates

@@ -213,6 +213,16 @@ def test_exit_2_on_bad_inputs(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("field,value", [("dimension", True), ("vertices", [False, True, 2, 3])])
+def test_exit_2_on_bool_fields(tmp_path, capsys, field, value):
+    doc = json.loads(corpus.encode(corpus.generate("simplex", d=3)))
+    doc[field] = value
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and err.startswith(f"error: {field}:")
+
+
 def test_argparse_failures_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["stress", "x.json", "--k", "2", "--frobnicate"])

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -128,6 +129,26 @@ def test_decode_rejects(mangle, fragment):
     with pytest.raises(ParseError) as err:
         corpus.decode(bad)
     assert fragment in str(err.value)
+
+
+def _with(**fields):
+    doc = json.loads(good_doc())
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "fields,where",
+    [
+        ({"dimension": True}, "dimension:"),
+        ({"vertices": [False, True, 2, 3]}, "vertices:"),
+        ({"facets": [[True, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}, "facets[0]:"),
+    ],
+)
+def test_decode_rejects_bools(fields, where):
+    with pytest.raises(ParseError) as err:
+        corpus.decode(_with(**fields))
+    assert str(err.value).startswith(where)
 
 
 def test_decode_rejects_non_object():

@@ -1,9 +1,7 @@
-from itertools import combinations
-
 import pytest
 
 from conftest import instance
-from oracles import sign_system_feasible
+from oracles import sign_system_feasible, subset_sweep
 from polystress.detect import (
     Certificate,
     certificate_check,
@@ -264,6 +262,15 @@ def test_certificate_sweep_soundness_cross():
     assert set(open_) == set(P.complex.faces_of_size(3)) and len(open_) == 32
     with pytest.raises(InvalidArgument):
         certificate_sweep(skel, basis, 4, 1)
+
+
+def test_certificate_sweep_matches_subset_oracle_on_corpus(full_corpus):
+    for P in full_corpus:
+        if P.d < 4:
+            continue
+        skel = skeleton(P.complex, 1)
+        basis = stress_basis(skel, P.embedding, 2)
+        assert certificate_sweep(skel, basis, P.d, 2) == subset_sweep(skel, basis, P.d, 2), P.meta
 
 
 # ---------------------------------------------------------------------------

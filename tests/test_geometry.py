@@ -247,3 +247,10 @@ def test_validate_catches_missing_coordinates(octahedron):
     report = validate(broken)
     assert not report.ok
     assert report.checks[0][0] == "vertices_covered" and not report.checks[0][1]
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+def test_embedding_build_rejects_float_and_bool(bad):
+    with pytest.raises(InvalidArgument):
+        Embedding.build(2, {0: (0, 1), 1: (bad, 0)})
+    assert Embedding.build(2, {0: (0, Rat(1, 2))}).point(0) == (0, Rat(1, 2))

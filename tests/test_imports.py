@@ -1,0 +1,41 @@
+"""Every name a library module imports is used in that module.
+
+A stdlib `ast` stand-in for a linter's unused-import rule.  The
+package `__init__` is exempt: its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polystress"
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name never read in `source`."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*" or (isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        # names listed in __all__ count as used
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_unused_names():
+    source = "import os\nfrom a import b, c as d\nfrom __future__ import annotations\n__all__ = ['b']\nos.sep\n"
+    assert unused_imports(source) == [(2, "d")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

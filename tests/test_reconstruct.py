@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import instance
-from polystress.errors import CompletionFailure, InvalidArgument, ReconstructionFailure
+from oracles import subset_avoiding_complex, subset_complete_prime
+from polystress.errors import CompletionFailure, InvalidArgument, InvalidComplex, ReconstructionFailure
 from polystress.reconstruct import (
     DiffReport,
+    _avoiding_complex,
     compare,
     complete_prime,
     reconstruct_skeleton,
@@ -165,3 +168,76 @@ def test_pipeline_stacked_stops_at_skeleton():
     assert rep.completion is None
     assert rep.missing_by_dim == {1: ((3, 6), (4, 5), (4, 6))}
     assert rep.diff is not None and rep.diff.equal  # skeletons still agree
+
+
+def _vertices(*labels):
+    return build_complex([{v} for v in labels])
+
+
+def test_complete_prime_rejects_no_candidate_facet():
+    # every 4-subset of 1..6 holds one of the three pairs
+    with pytest.raises(CompletionFailure, match="no candidate facets"):
+        complete_prime(_vertices(1, 2, 3, 4, 5, 6), [(1, 2), (3, 4), (5, 6)], 4)
+
+
+def test_complete_prime_rejects_short_maximal_face():
+    # a 4-cycle plus a vertex 5 that lies on no edge
+    missing = [(1, 3), (1, 5), (2, 4), (2, 5), (3, 5), (4, 5)]
+    with pytest.raises(CompletionFailure, match=r"maximal face \(5,\) has size 1 < d"):
+        complete_prime(_vertices(1, 2, 3, 4, 5), missing, 2)
+
+
+def test_complete_prime_rejects_bad_ridge():
+    # the path 1-2-3: vertex 1 ends one edge only
+    with pytest.raises(CompletionFailure, match=r"ridge \(1,\) lies in 1 facets, expected 2"):
+        complete_prime(_vertices(1, 2, 3), [(1, 3)], 2)
+
+
+def test_complete_prime_rejects_disconnected_dual_graph():
+    # two disjoint triangles at d = 2
+    missing = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
+    with pytest.raises(CompletionFailure, match="dual graph is disconnected"):
+        complete_prime(_vertices(1, 2, 3, 4, 5, 6), missing, 2)
+
+
+@st.composite
+def vertices_and_missing(draw):
+    n = draw(st.integers(1, 7))
+    sets = st.sets(st.integers(1, n), min_size=1, max_size=4)
+    return tuple(range(1, n + 1)), [tuple(sorted(M)) for M in draw(st.lists(sets, max_size=8))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(vertices_and_missing(), st.integers(1, 5))
+def test_avoiding_complex_matches_subset_oracle(vm, max_size):
+    vertices, missing = vm
+    try:
+        want = subset_avoiding_complex(vertices, missing, max_size)
+    except InvalidComplex:
+        assume(False)  # every vertex is missing; the oracle has no complex to compare
+    assert _avoiding_complex(vertices, missing, max_size) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(vertices_and_missing(), st.integers(2, 4))
+def test_complete_prime_matches_subset_oracle(vm, d):
+    vertices, missing = vm
+    skel = _vertices(*vertices)
+    outcomes = []
+    for fn in (complete_prime, subset_complete_prime):
+        try:
+            outcomes.append(fn(skel, missing, d))
+        except CompletionFailure as exc:
+            # the purity branch names a short facet, the oracle any uncovered set
+            msg = str(exc)
+            outcomes.append("maximal" if msg.startswith("maximal") else msg)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_complete_prime_matches_subset_oracle_on_corpus(full_corpus):
+    for P in full_corpus:
+        missing = missing_faces(P.complex, len(P.complex.vertices))
+        if any(len(M) > P.d - 1 for M in missing):
+            continue  # not prime
+        skel = skeleton(P.complex, P.d - 2)
+        assert complete_prime(skel, missing, P.d) == subset_complete_prime(skel, missing, P.d) == P.complex

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import instance
-from oracles import f_vector, g_vector
+from oracles import f_vector, g_vector, scan_has_face, subset_missing_faces
 from polystress.errors import InvalidArgument, InvalidComplex, NotAFace
 from polystress.simplicial import (
     build_complex,
     cone,
+    extensions,
     face_key,
     fg_vector,
     join,
@@ -24,6 +25,7 @@ def test_build_complex_normalizes():
     assert K.dim == 2
     assert K.has_face({2, 3}) and K.has_face({4}) and not K.has_face({1, 4})
     assert (1, 2) in K
+    assert not K.has_face({1, "a"}) and not K.has_face(("a",))
 
 
 def test_build_complex_rejects_bad_labels():
@@ -138,6 +140,31 @@ def test_complex_properties(facets):
             assert K.has_face(set(M) - {v})
     # f-vector agrees with brute closure
     assert K.f_counts() == f_vector(K.facet_keys)
+
+
+@settings(deadline=None, max_examples=150)
+@given(facet_family())
+def test_missing_faces_match_subset_oracle(facets):
+    K = build_complex(facets)
+    for max_card in range(1, len(K.vertices) + 2):
+        assert missing_faces(K, max_card) == subset_missing_faces(K, max_card)
+
+
+@settings(deadline=None, max_examples=150)
+@given(facet_family(), st.lists(st.lists(st.integers(0, 7), max_size=6), min_size=1, max_size=8))
+def test_has_face_matches_facet_scan(facets, queries):
+    K = build_complex(facets)
+    for q in queries:  # labels may repeat and may be unknown
+        want = scan_has_face(K, q)
+        assert K.has_face(q) == K.has_face(tuple(q)) == K.has_face(set(q)) == want
+        assert K.has_face(frozenset(q)) == (frozenset(q) in K) == want
+
+
+def test_extensions():
+    level = {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}
+    assert list(extensions(level, range(1, 6))) == [(1, 2, 3), (2, 3, 4)]
+    assert list(extensions({()}, (3, 1, 2))) == [(1,), (2,), (3,)]
+    assert list(extensions(set(), (1, 2))) == []
 
 
 def test_face_key():
