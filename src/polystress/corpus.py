@@ -230,6 +230,8 @@ def decode(text: str) -> PolytopeInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("top level: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     expected = ["dimension", "vertices", "coordinates", "facets", "meta"]
@@ -257,6 +259,8 @@ def decode(text: str) -> PolytopeInstance:
             v = int(key)
         except ValueError:
             raise ParseError(f"coordinates[{key!r}]: label is not an integer") from None
+        if key != str(v):
+            raise ParseError(f"coordinates[{key!r}]: label is not plain decimal text")
         if v not in vert_set:
             raise ParseError(f"coordinates[{key!r}]: label not among vertices")
         if not isinstance(pt, list) or len(pt) != d:

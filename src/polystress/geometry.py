@@ -5,13 +5,18 @@ PolytopeInstance couples a complex with an embedding claimed to
 realize it as a simplicial polytope boundary; `validate` replays the
 supporting-hyperplane and hull checks and flips the instance's
 `validated` flag.  Everything here is exact, nothing ever rounds.
+
+Side tests run on integer-scaled points (a positive scaling keeps every
+side and every normal's direction): `_hyperplane` gives the primitive
+normal n and offset c of the hyperplane n.x = c through d of them, and
+a point q's side is the sign of n.q - c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 from . import exactla
 from .errors import (
@@ -22,7 +27,7 @@ from .errors import (
     NotAVertex,
     NotSimplicial,
 )
-from .rat import R0, R1, rat
+from .rat import R0, R1, rat, sign
 from .simplicial import SimplicialComplex, face_key, star_link
 
 
@@ -37,8 +42,6 @@ class Embedding:
     def build(dim: int, mapping) -> "Embedding":
         coords = {}
         for v, pt in mapping.items():
-            if any(isinstance(x, (bool, float)) for x in pt):
-                raise InvalidArgument(f"point for vertex {v} has a float or bool coordinate; use ints or rationals")
             tup = tuple(rat(x) for x in pt)
             if len(tup) != dim:
                 raise InvalidArgument(f"point for vertex {v} has length {len(tup)}, expected {dim}")
@@ -129,31 +132,46 @@ def altitude_vector(F, v: int, p: Embedding):
     return exactla.vec_sub(q, proj)
 
 
-def _primitive(vec):
-    """Scale a rational vector to coprime integers, keeping direction."""
-    ints = exactla._integerize([rat(x) for x in vec])
-    g = gcd(*ints)
-    if g == 0:
-        return [R0 for _ in ints]
-    return [rat(x, g) for x in ints]
+def _integer_points(pts) -> list:
+    """The points scaled by one positive integer, the lcm of every
+    denominator, so each coordinate is an int."""
+    den = lcm(*{x.denominator for pt in pts for x in pt})
+    return [tuple(x.numerator * (den // x.denominator) for x in pt) for pt in pts]
+
+
+def _hyperplane(pts):
+    """(n, c), n primitive, with n.x = c through d integer points in R^d, or
+    None if they are affinely dependent.  n spans the kernel of the
+    differences; a lone point gets one zero row, so d = 1 gives n = [1].
+    The kernel vector has a coordinate 1, so clearing its denominators
+    by their lcm already leaves coprime integers."""
+    base = pts[0]
+    diffs = [[a - b for a, b in zip(q, base)] for q in pts[1:]] or [[0] * len(base)]
+    _, kern = exactla.kernel_basis(diffs)
+    if len(kern) != 1:
+        return None
+    n = exactla._integerize(kern[0])
+    return n, sum(a * b for a, b in zip(n, base))
+
+
+def _side(h, q) -> int:
+    """-1, 0 or +1: the side of the integer point q against h = (n, c)."""
+    n, c = h
+    return sign(sum(a * b for a, b in zip(n, q)) - c)
 
 
 def facet_normal(S, p: Embedding, inward_witness):
     """Primitive normal of the hyperplane through p(S), oriented so the
     witness point sits on the positive side."""
     Sk = face_key(S)
-    base = p.point(Sk[0])
-    diffs = [exactla.vec_sub(p.point(s), base) for s in Sk[1:]]
-    _, kern = exactla.kernel_basis(diffs)
-    if len(kern) != 1:
+    *face, witness = _integer_points(p.points(Sk) + [inward_witness])
+    h = _hyperplane(face)
+    if h is None:
         raise DegenerateFace(f"facet {Sk} does not span a hyperplane")
-    n = _primitive(kern[0])
-    val = exactla.dot(n, exactla.vec_sub(inward_witness, base))
-    if val == 0:
+    side = _side(h, witness)
+    if side == 0:
         raise DegenerateFace(f"witness point lies on the hyperplane of {Sk}")
-    if val < 0:
-        n = [-x for x in n]
-    return n
+    return [rat(side * x) for x in h[0]]
 
 
 def separating_functional(P: PolytopeInstance, u: int):
@@ -313,35 +331,18 @@ def brute_force_facets(points: dict) -> frozenset:
     if not labels:
         raise InvalidArgument("no points")
     d = len(points[labels[0]])
-    if affine_rank([points[v] for v in labels]) != d:
+    pts = dict(zip(labels, _integer_points([points[v] for v in labels])))
+    if affine_rank(pts.values()) != d:
         raise DegenerateEmbedding("points do not span the ambient space")
     facets = set()
     for S in combinations(labels, d):
-        base = points[S[0]]
-        diffs = [exactla.vec_sub(points[s], base) for s in S[1:]]
-        if diffs:
-            _, kern = exactla.kernel_basis(diffs)
-            if len(kern) != 1:
-                continue  # affinely dependent d-subset, cannot be a simplex facet
-            n = kern[0]
-        else:
-            n = [R1]  # d = 1: a facet is a single point
-        pos = neg = zero = False
-        for w in labels:
-            if w in S:
-                continue
-            val = exactla.dot(n, exactla.vec_sub(points[w], base))
-            if val > 0:
-                pos = True
-            elif val < 0:
-                neg = True
-            else:
-                zero = True
-            if pos and neg:
-                break
-        if pos and neg:
+        h = _hyperplane([pts[s] for s in S])
+        if h is None:
+            continue  # affinely dependent d-subset, cannot be a simplex facet
+        sides = {_side(h, pts[w]) for w in labels if w not in S}
+        if {1, -1} <= sides:
             continue
-        if zero:
+        if 0 in sides:
             raise NotSimplicial(f"supporting hyperplane of {S} contains an extra point")
         facets.add(frozenset(S))
     return frozenset(facets)
@@ -363,42 +364,31 @@ def validate(P: PolytopeInstance) -> ValidationReport:
     cover = set(K.vertices) == set(p.coords) and all(len(pt) == P.d for pt in p.coords.values())
     checks.append(("vertices_covered", cover, "complex vertices match embedded points"))
 
-    span_ok = cover and affine_rank([p.point(v) for v in K.vertices]) == P.d
+    pts = dict(zip(K.vertices, _integer_points(p.points(K.vertices)))) if cover else {}
+    span_ok = cover and affine_rank(pts.values()) == P.d
     checks.append(("ambient_span", span_ok, f"affine hull has dimension {P.d}"))
 
     pure = K.is_pure() and K.dim == P.d - 1
     checks.append(("pure_dimension", pure, f"all facets have {P.d} vertices"))
 
-    indep = True
-    if span_ok and pure:
-        for S in K.facet_keys:
-            if affine_rank(p.points(S)) != len(S) - 1:
-                indep = False
-                break
-    else:
-        indep = False
-    checks.append(("facet_independence", indep, "facet points affinely independent"))
-
-    supported = indep
+    # one hyperplane per facet; support needs every facet independent
+    indep = supported = span_ok and pure
     if indep:
         for S in K.facet_keys:
-            base = p.point(S[0])
-            diffs = [exactla.vec_sub(p.point(s), base) for s in S[1:]]
-            if diffs:
-                _, kern = exactla.kernel_basis(diffs)
-                n = kern[0]
-            else:
-                n = [R1]
-            vals = [exactla.dot(n, exactla.vec_sub(p.point(w), base)) for w in K.vertices if w not in S]
-            if any(v == 0 for v in vals) or (any(v > 0 for v in vals) and any(v < 0 for v in vals)):
-                supported = False
+            h = _hyperplane([pts[s] for s in S])
+            if h is None:
+                indep = supported = False
                 break
+            if supported:
+                sides = {_side(h, pts[w]) for w in K.vertices if w not in S}
+                supported = sides <= {1} or sides <= {-1}
+    checks.append(("facet_independence", indep, "facet points affinely independent"))
     checks.append(("supporting_hyperplanes", supported, "each facet hyperplane strictly supports"))
 
     hull_ok = False
     if supported:
         try:
-            hull_ok = brute_force_facets(p.coords) == K.facets
+            hull_ok = brute_force_facets(pts) == K.facets
         except NotSimplicial:
             hull_ok = False
     checks.append(("hull_facets_match", hull_ok, "hull facets equal the complex facets"))

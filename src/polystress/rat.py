@@ -9,7 +9,9 @@ Code elsewhere must never divide two bare ints.
 
 from __future__ import annotations
 
-from .errors import ParseError
+import re
+
+from .errors import InvalidArgument, ParseError
 
 try:
     from gmpy2 import mpq as Rat  # type: ignore
@@ -19,13 +21,19 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 R0 = Rat(0)
 R1 = Rat(1)
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def rat(a, b=1) -> Rat:
     """Build a rational from an int pair or pass an existing Rat through."""
     if b == 1:
-        if isinstance(a, int):
+        if type(a) is int:
             return Rat(a)
-        return a if type(a) is type(R0) else Rat(a)
+        if type(a) is type(R0):
+            return a
+        if isinstance(a, (bool, float)):
+            raise InvalidArgument(f"{a!r} is a {type(a).__name__}; use ints or rationals")
+        return Rat(a)
     return Rat(a, b)
 
 
@@ -38,19 +46,16 @@ def rat_str(x) -> str:
 
 
 def parse_rat(text: str, where: str = "") -> Rat:
-    """Parse "p" or "p/q" with a nonzero denominator.
+    """Parse "p" or "p/q" (ASCII digits, "-" only in front), q nonzero.
 
     `where` names the document location for error messages.
     """
     if not isinstance(text, str):
         raise ParseError(f"{where}: rational must be a string, got {type(text).__name__}")
-    parts = text.split("/")
-    if len(parts) > 2 or not parts[0]:
-        raise ParseError(f"{where}: malformed rational {text!r}")
+    m = _RATIONAL.fullmatch(text)
     try:
-        num = int(parts[0])
-        den = int(parts[1]) if len(parts) == 2 else 1
-    except ValueError:
+        num, den = int(m[1]), int(m[2] or 1)
+    except (TypeError, ValueError):  # no match, or more digits than int() takes
         raise ParseError(f"{where}: malformed rational {text!r}") from None
     if den == 0:
         raise ParseError(f"{where}: zero denominator in {text!r}")

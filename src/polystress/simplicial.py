@@ -127,9 +127,9 @@ def skeleton(K: SimplicialComplex, i: int) -> SimplicialComplex:
         raise InvalidArgument(f"skeleton index {i} outside [-1, {K.dim}]")
     if i == K.dim:
         return K
-    gens = {frozenset(F) for F in K.faces_of_size(i + 1)}
+    gens = {frozenset(F) for F in K.face_set(i + 1)}
     gens.update(F for F in K.facets if len(F) <= i)  # short facets survive
-    return build_complex(gens)
+    return SimplicialComplex(facets=frozenset(gens))  # already an antichain
 
 
 def star_link(K: SimplicialComplex, F) -> tuple[SimplicialComplex, SimplicialComplex]:

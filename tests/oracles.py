@@ -6,20 +6,24 @@ direct differentiation of the full polynomial, sign-pattern
 feasibility by Fourier-Motzkin elimination, ranks by plain Fraction
 Gaussian elimination, cyclic facets by the evenness condition, LP
 optima and rrefs by the Fraction simplex tableau and Gauss-Jordan loop
-that exactla's integer pivot step replaced, and face membership,
+that exactla's integer pivot step replaced, face membership,
 missing faces, avoiding complexes, prime completion and certificate
 sweeps by scanning facets and enumerating subsets of the vertex set,
-as the package did before it grew vertex sets one vertex at a time.
+as the package did before it grew vertex sets one vertex at a time,
+and hull facets, facet normals and validation checks by the Fraction
+hyperplane loops that geometry's integer normal-and-side test replaced.
 Slow and simple on purpose.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from polystress.detect import _feasible_certificate, _stress_space
-from polystress.errors import CompletionFailure
-from polystress.simplicial import build_complex
+from polystress.errors import CompletionFailure, DegenerateEmbedding, DegenerateFace, InvalidArgument, NotSimplicial
+from polystress.exactla import _integerize, dot, kernel_basis, vec_sub
+from polystress.geometry import affine_rank
+from polystress.simplicial import build_complex, face_key
 
 
 def closure_faces(facets):
@@ -360,3 +364,89 @@ def subset_sweep(skel, basis, d, k):
             else:
                 open_candidates.append(M)
     return certified, open_candidates
+
+
+# --- hyperplanes by Fraction differences, one loop per caller
+
+
+def fraction_facet_normal(S, p, inward_witness):
+    """Primitive normal through p(S), witness on the positive side; a
+    single point (d = 1) has no difference rows and raises."""
+    Sk = face_key(S)
+    base = p.point(Sk[0])
+    _, kern = kernel_basis([vec_sub(p.point(s), base) for s in Sk[1:]])
+    if len(kern) != 1:
+        raise DegenerateFace(f"facet {Sk} does not span a hyperplane")
+    ints = _integerize([Fraction(x) for x in kern[0]])
+    n = [Fraction(x, gcd(*ints)) for x in ints]
+    val = dot(n, vec_sub(inward_witness, base))
+    if val == 0:
+        raise DegenerateFace(f"witness point lies on the hyperplane of {Sk}")
+    return n if val > 0 else [-x for x in n]
+
+
+def fraction_brute_force_facets(points):
+    """Every d-subset spanning a hyperplane with the other points strictly
+    on one side; an extra point on a supporting hyperplane raises."""
+    labels = sorted(points)
+    if not labels:
+        raise InvalidArgument("no points")
+    d = len(points[labels[0]])
+    if affine_rank([points[v] for v in labels]) != d:
+        raise DegenerateEmbedding("points do not span the ambient space")
+    facets = set()
+    for S in combinations(labels, d):
+        base = points[S[0]]
+        diffs = [vec_sub(points[s], base) for s in S[1:]]
+        if diffs:
+            _, kern = kernel_basis(diffs)
+            if len(kern) != 1:
+                continue
+            n = kern[0]
+        else:
+            n = [Fraction(1)]
+        vals = [dot(n, vec_sub(points[w], base)) for w in labels if w not in S]
+        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+            continue
+        if any(v == 0 for v in vals):
+            raise NotSimplicial(f"supporting hyperplane of {S} contains an extra point")
+        facets.add(frozenset(S))
+    return frozenset(facets)
+
+
+def fraction_validate_checks(P):
+    """validate's (name, ok, text) checks with one rank per facet for
+    independence, then one kernel and Fraction dot loop per facet for support."""
+    K, p, d = P.complex, P.embedding, P.d
+    cover = set(K.vertices) == set(p.coords) and all(len(pt) == d for pt in p.coords.values())
+    span_ok = cover and affine_rank([p.point(v) for v in K.vertices]) == d
+    pure = K.is_pure() and K.dim == d - 1
+    indep = span_ok and pure and all(affine_rank(p.points(S)) == len(S) - 1 for S in K.facet_keys)
+    supported = indep
+    for S in K.facet_keys if indep else ():
+        base = p.point(S[0])
+        diffs = [vec_sub(p.point(s), base) for s in S[1:]]
+        n = kernel_basis(diffs)[1][0] if diffs else [Fraction(1)]
+        vals = [dot(n, vec_sub(p.point(w), base)) for w in K.vertices if w not in S]
+        if any(v == 0 for v in vals) or (any(v > 0 for v in vals) and any(v < 0 for v in vals)):
+            supported = False
+            break
+    hull_ok = False
+    if supported:
+        try:
+            hull_ok = fraction_brute_force_facets(p.coords) == K.facets
+        except NotSimplicial:
+            pass
+    euler_ok = False
+    if pure:
+        f = K.f_counts()
+        euler_ok = sum((-1) ** i * f[i + 1] for i in range(d)) == 1 + (-1) ** (d - 1)
+    return (
+        ("vertices_covered", cover, "complex vertices match embedded points"),
+        ("ambient_span", span_ok, f"affine hull has dimension {d}"),
+        ("pure_dimension", pure, f"all facets have {d} vertices"),
+        ("facet_independence", indep, "facet points affinely independent"),
+        ("supporting_hyperplanes", supported, "each facet hyperplane strictly supports"),
+        ("hull_facets_match", hull_ok, "hull facets equal the complex facets"),
+        ("euler", euler_ok, "boundary-sphere Euler relation"),
+    )

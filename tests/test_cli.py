@@ -223,6 +223,13 @@ def test_exit_2_on_bool_fields(tmp_path, capsys, field, value):
     assert code == 2 and err.startswith(f"error: {field}:")
 
 
+def test_exit_2_on_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and err.startswith("error: top level:")
+
+
 def test_argparse_failures_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["stress", "x.json", "--k", "2", "--frobnicate"])

@@ -121,6 +121,8 @@ def good_doc():
         (lambda t: t.replace('"0",', '"1/0",', 1), "zero denominator"),
         (lambda t: t.replace('"0",', '"0.5",', 1), "malformed rational"),
         (lambda t: t.replace("[\n   1,\n   2,\n   3\n  ]", "[\n   1,\n   2,\n   9\n  ]"), "outside the vertex list"),
+        # coordinate keys are the plain decimal text of a label, nothing int() also reads
+        *[(lambda t, k=k: t.replace('"3": [', f'"{k}": [', 1), f"coordinates[{k!r}]") for k in ("1_0", " 3", "\u0663", "03", "+3")],
     ],
 )
 def test_decode_rejects(mangle, fragment):
@@ -149,6 +151,12 @@ def test_decode_rejects_bools(fields, where):
     with pytest.raises(ParseError) as err:
         corpus.decode(_with(**fields))
     assert str(err.value).startswith(where)
+
+
+def test_decode_rejects_deep_nesting():
+    with pytest.raises(ParseError) as err:
+        corpus.decode("[" * 100000)
+    assert str(err.value).startswith("top level:")
 
 
 def test_decode_rejects_non_object():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import fraction_rref, fraction_simplex, gauss_rank, sign_system_feasible
 from polystress import exactla
-from polystress.errors import ParseError
+from polystress.errors import InvalidArgument, ParseError
 from polystress.exactla import (
     RatMatrix,
     kernel_basis,
@@ -15,7 +15,7 @@ from polystress.exactla import (
     solve_linear,
     strict_feasible,
 )
-from polystress.rat import Rat, parse_rat, rat_str, sign
+from polystress.rat import Rat, parse_rat, rat, rat_str, sign
 
 # --- rationals
 
@@ -31,10 +31,23 @@ def test_parse_rat_round_trip():
         assert rat_str(parse_rat(text)) == text
 
 
-@pytest.mark.parametrize("bad", ["", "/2", "1/0", "a", "1/2/3", "1.5"])
+@pytest.mark.parametrize("bad", ["", "/2", "1/0", "a", "1/2/3", "1.5", "1_0", " 3 ", "\u0663", "+3", "1/-2", "3\n", "1" * 5000])
 def test_parse_rat_rejects(bad):
     with pytest.raises(ParseError):
         parse_rat(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, float("nan")])
+def test_rat_rejects_bool_and_float(bad):
+    with pytest.raises(InvalidArgument):
+        rat(bad)
+
+
+def test_rat_passes_ints_and_rationals():
+    half = Rat(1, 2)
+    assert rat(half) is half
+    assert rat(-3) == Rat(-3) and type(rat(-3)) is Rat
+    assert rat(1, 2) == half
 
 
 def test_sign():

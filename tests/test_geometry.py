@@ -1,15 +1,17 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import instance
-from oracles import gale_even
+from oracles import fraction_brute_force_facets, fraction_facet_normal, fraction_validate_checks, gale_even
 from polystress.errors import (
     DegenerateEmbedding,
     DegenerateFace,
     InvalidArgument,
     NotAVertex,
     NotSimplicial,
+    PolystressError,
 )
 from polystress.exactla import dot, vec_sub
 from polystress.geometry import (
@@ -19,13 +21,15 @@ from polystress.geometry import (
     altitude_vector,
     brute_force_facets,
     caratheodory_reduce,
+    facet_normal,
     quotient,
     segment_hull_meet,
     separating_functional,
     validate,
     vertex_figure,
 )
-from polystress.rat import R1, Rat
+from polystress.rat import R1, Rat, sign
+from polystress.simplicial import build_complex
 
 
 def emb(pts, dim=None):
@@ -99,6 +103,19 @@ def test_separating_functional_every_vertex():
             assert all(dot(b, P.embedding.point(v)) > alpha for v in P.vertices if v != u)
     with pytest.raises(NotAVertex):
         separating_functional(instance("simplex", d=4), 99)
+
+
+def test_separating_functional_segment():
+    # d = 1: a facet is one point, whose normal is [1] up to orientation
+    P = PolytopeInstance(
+        complex=build_complex([{0}, {1}]),
+        embedding=Embedding.build(1, {0: (0,), 1: (3,)}),
+        d=1,
+        meta={},
+    )
+    assert validate(P).ok
+    assert separating_functional(P, 0) == ([1], Rat(3, 2))
+    assert separating_functional(P, 1) == ([-1], Rat(-3, 2))
 
 
 def test_vertex_figure_octahedron(octahedron):
@@ -254,3 +271,84 @@ def test_embedding_build_rejects_float_and_bool(bad):
     with pytest.raises(InvalidArgument):
         Embedding.build(2, {0: (0, 1), 1: (bad, 0)})
     assert Embedding.build(2, {0: (0, Rat(1, 2))}).point(0) == (0, Rat(1, 2))
+
+
+def outcome(f, *args):
+    """f's result, or the type of the package error it raised."""
+    try:
+        return f(*args)
+    except PolystressError as e:
+        return type(e)
+
+
+@st.composite
+def point_sets(draw):
+    """d + 1 to d + 5 small rational points in R^1..R^4, labels 0..n-1,
+    with some pushed onto the hyperplane x_d = x_1 (all of them: the
+    set does not span) and one maybe repeated."""
+    d = draw(st.integers(1, 4))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
+    flat = draw(st.one_of(st.just(0), st.integers(0, len(pts))))
+    pts = [p[:-1] + p[:1] if i < flat else p for i, p in enumerate(pts)]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=1))
+    return dict(enumerate(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_brute_force_facets_matches_fraction_oracle(points):
+    assert outcome(brute_force_facets, points) == outcome(fraction_brute_force_facets, points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.data())
+def test_facet_normal_matches_fraction_oracle(points, data):
+    d = len(points[0])
+    order = data.draw(st.permutations(sorted(points)))
+    S, witness = order[:d], points[order[d]]
+    p = Embedding.build(d, points)
+    got = outcome(facet_normal, S, p, witness)
+    want = outcome(fraction_facet_normal, S, p, witness)
+    if d == 1:
+        # the oracle finds no normal through a single point; it is [1] oriented
+        assert want is DegenerateFace
+        side = sign(Rat(witness[0]) - p.point(S[0])[0])
+        want = [side] if side else DegenerateFace
+    assert got == want
+
+
+def broken_variants(P):
+    """A moved vertex (onto the centroid of the others), the last facet
+    made affinely dependent (earlier facets at its moved vertex may lose
+    support first), and a vertex without coordinates."""
+    K, coords, d = P.complex, P.embedding.coords, P.d
+    u, *rest = P.vertices
+    moved = dict(coords)
+    moved[u] = tuple(sum((coords[v][i] for v in rest), Rat(0)) / len(rest) for i in range(d))
+    F = K.facet_keys[-1]
+    dependent = dict(coords)
+    dependent[F[0]] = tuple((a + b) / 2 for a, b in zip(coords[F[1]], coords[F[2]]))
+    missing = {v: pt for v, pt in coords.items() if v != u}
+    for broken in (moved, dependent, missing):
+        yield PolytopeInstance(complex=K, embedding=Embedding(dim=d, coords=broken), d=d, meta={})
+
+
+def test_validate_checks_match_fraction_oracle(full_corpus):
+    for P in full_corpus:
+        assert validate(P).checks == fraction_validate_checks(P)
+        for Q in broken_variants(P):
+            report = validate(Q)
+            assert not report.ok
+            assert report.checks == fraction_validate_checks(Q)
+
+
+def test_validate_refuses_a_vertex_on_a_facet_hyperplane():
+    # square pyramid, base split along 0-3: vertex 2 lies on the plane of
+    # facet {0, 1, 3} with the apex strictly on one side
+    square = {0: (1, 1, 0), 1: (1, -1, 0), 2: (-1, 1, 0), 3: (-1, -1, 0), 4: (0, 0, 1)}
+    facets = [{0, 1, 4}, {1, 3, 4}, {3, 2, 4}, {2, 0, 4}, {0, 1, 3}, {0, 2, 3}]
+    P = PolytopeInstance(complex=build_complex(facets), embedding=Embedding.build(3, square), d=3, meta={})
+    checks = validate(P).checks
+    assert checks == fraction_validate_checks(P)
+    assert [name for name, ok, _ in checks if not ok] == ["supporting_hyperplanes", "hull_facets_match"]

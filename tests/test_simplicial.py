@@ -56,6 +56,15 @@ def test_skeleton():
         skeleton(K, 5)
 
 
+def test_skeleton_matches_build_complex_route(full_corpus):
+    # the (i+1)-faces plus the short facets, normalized by build_complex
+    complexes = [P.complex for P in full_corpus] + [build_complex([{1, 2, 3}, {3, 4}, {5}])]
+    for K in complexes:
+        for i in range(-1, K.dim + 1):
+            gens = [*K.faces_of_size(i + 1), *(F for F in K.facets if len(F) <= i)]
+            assert skeleton(K, i) == build_complex(gens)
+
+
 def test_star_link_octahedron(octahedron):
     K = octahedron.complex
     lk = link(K, {0})
