@@ -34,9 +34,7 @@ class RunReport:
 
 
 def _load(path: str) -> PolytopeInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    P = corpus.decode(text)
+    P = _load_raw(path)
     report = validate(P)
     if not report.ok:
         failed = [name for name, ok, _ in report.checks if not ok]

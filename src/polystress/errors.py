@@ -69,5 +69,10 @@ class CompletionFailure(PolystressError):
     pass
 
 
+class InternalArithmeticError(PolystressError, ArithmeticError):
+    """Exact arithmetic broke an invariant the package relies on: an
+    inexact division in elimination, or an unbounded LP."""
+
+
 class ParseError(PolystressError):
     """Malformed document; message carries the location."""

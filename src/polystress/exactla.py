@@ -8,8 +8,10 @@ at minor size instead of letting rational numerators and denominators
 feed on each other.  Rows are cleared of denominators once, up front.
 
 - Forward elimination (`rank`, `kernel_basis`, `solve_linear`) applies
-  the step to the rows below each pivot; back substitution returns to
-  rationals.
+  the step to the rows below each pivot.  One integer readout,
+  `_back_substitute`, reads every kernel vector off the echelon form,
+  and a solution of A x = b is the kernel vector of [A | -b] whose
+  last coordinate is 1; each vector becomes rational only at its end.
 - `rref` applies it to every other row (fraction-free Gauss-Jordan)
   and divides each row by its pivot only at the end.
 - The LP is a dense two-phase primal simplex with Bland's rule, so it
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgument
+from .errors import InternalArithmeticError, InvalidArgument
 from .rat import R0, R1, rat
 
 
@@ -88,25 +90,24 @@ def _pivot_step(rows, prow, col, prev, start=0):
         for c in range(start, len(row)):
             q, rem = divmod(row[c] * p - f * prow[c], prev)
             if rem:
-                raise ArithmeticError("inexact division in fraction-free elimination")
+                raise InternalArithmeticError("inexact division in fraction-free elimination")
             row[c] = q
 
 
-def _bareiss_echelon(rows: list[list[int]], limit: int, reduced: bool = False):
+def _bareiss_echelon(rows: list[list[int]], reduced: bool = False):
     """Fraction-free elimination of integer rows, in place.
 
     Returns (rows, pivots) where pivots is a list of (row, col) in
-    elimination order.  Only columns < limit are eligible as pivots,
-    which is how augmented solves keep the rhs passive.  Forward
-    elimination updates the rows below each pivot; `reduced` updates
-    the rows above as well (Gauss-Jordan), after which every pivot row
-    carries the last pivot on its pivot column.
+    elimination order.  Forward elimination updates the rows below
+    each pivot; `reduced` updates the rows above as well (Gauss-Jordan),
+    after which every pivot row carries the last pivot on its pivot
+    column.
     """
     m = len(rows)
     pivots: list[tuple[int, int]] = []
     prev = 1
     r = 0
-    for col in range(limit):
+    for col in range(len(rows[0]) if m else 0):
         for pr in range(r, m):
             if rows[pr][col]:
                 break
@@ -126,11 +127,33 @@ def _bareiss_echelon(rows: list[list[int]], limit: int, reduced: bool = False):
 
 
 def rank(A) -> int:
-    rows = _rows_of(A)
-    if not rows or not rows[0]:
-        return 0
-    _, pivots = _bareiss_echelon([_integerize(r) for r in rows], len(rows[0]))
+    _, pivots = _bareiss_echelon([_integerize(r) for r in _rows_of(A)])
     return len(pivots)
+
+
+def _back_substitute(ech, pivots, n, f) -> list:
+    """The kernel vector of the echelon rows with x_f = 1 and every
+    other free coordinate 0.
+
+    Runs on ints: x_f starts as the pivot s of the last pivot row left
+    of f, the leading minor of the pivot rows up to it, so by Cramer's
+    rule every coordinate is an integer; the vector is divided by s
+    once at the end.  Pivot coordinates right of f stay 0.
+    """
+    left = [(ech[r], c) for r, c in pivots if c < f]
+    scale = left[-1][0][left[-1][1]] if left else 1
+    x = [0] * n
+    x[f] = scale
+    for row, pc in reversed(left):
+        acc = 0
+        for c in range(pc + 1, f + 1):
+            if x[c]:
+                acc += row[c] * x[c]
+        q, rem = divmod(-acc, row[pc])
+        if rem:
+            raise InternalArithmeticError("inexact division in back substitution")
+        x[pc] = q
+    return [rat(v, scale) for v in x]
 
 
 def kernel_basis(A) -> tuple[int, list[list]]:
@@ -141,34 +164,10 @@ def kernel_basis(A) -> tuple[int, list[list]]:
     by back substitution.
     """
     rows = _rows_of(A)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if n == 0:
-        return 0, []
-    if m == 0:
-        return 0, [[R1 if j == i else R0 for j in range(n)] for i in range(n)]
-    ech, pivots = _bareiss_echelon([_integerize(r) for r in rows], n)
-    rnk = len(pivots)
-    pivot_cols = [c for _, c in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        x = [R0] * n
-        x[f] = R1
-        for r in range(rnk - 1, -1, -1):
-            pc = pivot_cols[r]
-            if pc > f:
-                continue
-            acc = R0
-            row = ech[r]
-            for c in range(pc + 1, n):
-                xc = x[c]
-                if xc:
-                    acc += rat(row[c]) * xc
-            x[pc] = -acc / rat(row[pc])
-        basis.append(x)
-    return rnk, basis
+    n = len(rows[0]) if rows else 0
+    ech, pivots = _bareiss_echelon([_integerize(r) for r in rows])
+    pivot_set = {c for _, c in pivots}
+    return len(pivots), [_back_substitute(ech, pivots, n, f) for f in range(n) if f not in pivot_set]
 
 
 def solve_linear(A, b) -> list | None:
@@ -183,25 +182,12 @@ def solve_linear(A, b) -> list | None:
     bvec = [rat(x) for x in b]
     if len(bvec) != m:
         raise InvalidArgument("rhs length mismatch")
-    if n == 0:
-        return [] if all(x == 0 for x in bvec) else None
-    aug = [_integerize(list(rows[i]) + [bvec[i]]) for i in range(m)]
-    ech, pivots = _bareiss_echelon(aug, n)
-    rnk = len(pivots)
-    for r in range(rnk, m):
-        if ech[r][n] != 0:
-            return None
-    pivot_cols = [c for _, c in pivots]
-    x = [R0] * n
-    for r in range(rnk - 1, -1, -1):
-        pc = pivot_cols[r]
-        row = ech[r]
-        acc = rat(row[n])
-        for c in range(pc + 1, n):
-            if x[c]:
-                acc -= rat(row[c]) * x[c]
-        x[pc] = acc / rat(row[pc])
-    return x
+    # [A | -b]: a pivot on the last column means 0 = 1, else x_n = 1 reads off x
+    aug = [_integerize(row + [-x]) for row, x in zip(rows, bvec)]
+    ech, pivots = _bareiss_echelon(aug)
+    if pivots and pivots[-1][1] == n:
+        return None
+    return _back_substitute(ech, pivots, n + 1, n)[:n]
 
 
 def rref(rows) -> tuple[tuple[int, ...], tuple]:
@@ -211,10 +197,7 @@ def rref(rows) -> tuple[tuple[int, ...], tuple]:
     the same space iff their rrefs are equal, which is what the
     span-comparison tests rely on.
     """
-    work = _rows_of(rows)
-    if not work:
-        return (), ()
-    ech, pivots = _bareiss_echelon([_integerize(r) for r in work], len(work[0]), reduced=True)
+    ech, pivots = _bareiss_echelon([_integerize(r) for r in _rows_of(rows)], reduced=True)
     keep = tuple(tuple(rat(x, ech[r][c]) for x in ech[r]) for r, c in pivots)
     return tuple(c for _, c in pivots), keep
 
@@ -299,7 +282,7 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:
-                raise ArithmeticError("unbounded LP")
+                raise InternalArithmeticError("unbounded LP")
             self.pivot(leave, enter, z)
 
 
@@ -308,7 +291,7 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
 
     Returns (status, x, value) with status in {"optimal",
     "infeasible"}.  The feasible problems this package builds are all
-    bounded; an unbounded one raises ArithmeticError.
+    bounded; an unbounded one raises InternalArithmeticError.
     """
     A_ub = [] if A_ub is None else A_ub
     b_ub = [] if b_ub is None else b_ub

@@ -300,13 +300,11 @@ def caratheodory_reduce(points: dict, mu: dict):
     mu = {c: rat(w) for c, w in mu.items() if w != 0}
     while True:
         supp = sorted(mu)
-        pts = [points[c] for c in supp]
-        if affine_rank(pts) == len(supp) - 1:
-            return mu
         # affine dependence: gamma with sum 0 and sum gamma_c p(c) = 0
-        cols = [list(points[c]) + [R1] for c in supp]
-        rows = [[cols[j][i] for j in range(len(supp))] for i in range(len(cols[0]))]
+        rows = list(zip(*(points[c] for c in supp))) + [[R1] * len(supp)]
         _, kern = exactla.kernel_basis(rows)
+        if not kern:  # affinely independent support, the empty one included
+            return mu
         gamma = kern[0]
         if all(g <= 0 for g in gamma):
             gamma = [-g for g in gamma]
@@ -331,6 +329,9 @@ def brute_force_facets(points: dict) -> frozenset:
     if not labels:
         raise InvalidArgument("no points")
     d = len(points[labels[0]])
+    for v in labels:
+        if len(points[v]) != d:
+            raise InvalidArgument(f"point for vertex {v} has length {len(points[v])}, expected {d}")
     pts = dict(zip(labels, _integer_points([points[v] for v in labels])))
     if affine_rank(pts.values()) != d:
         raise DegenerateEmbedding("points do not span the ambient space")

@@ -81,16 +81,6 @@ class SimplicialComplex:
         """All faces with s vertices, as sorted tuples in sorted order."""
         return sorted(self.face_set(s))
 
-    def faces_of_dim(self, i: int) -> list[tuple[int, ...]]:
-        return self.faces_of_size(i + 1)
-
-    def all_faces(self, max_size: int | None = None) -> list[tuple[int, ...]]:
-        top = self.dim + 1 if max_size is None else min(max_size, self.dim + 1)
-        out: list[tuple[int, ...]] = []
-        for s in range(top + 1):
-            out.extend(self.faces_of_size(s))
-        return out
-
     def f_counts(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_dim) as a plain tuple.  Not cached: validation
         counts every size of every instance, most never looked up again."""

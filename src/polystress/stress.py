@@ -46,10 +46,6 @@ def mono_support(mono: Monomial) -> tuple[int, ...]:
     return tuple(v for v, _ in mono)
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
-
-
 def mono_mul_var(mono: Monomial, v: int) -> Monomial:
     out = []
     placed = False
@@ -320,7 +316,8 @@ def expand_squarefree(sv: StressVector, K: SimplicialComplex, p: Embedding) -> S
     Unknowns are the non-squarefree face-supported monomials of
     degree k; the linear system says every derivative against the
     theta rows vanishes coefficientwise.  A kernel or an inconsistent
-    system raises ExpansionFailure.
+    system raises ExpansionFailure; both are read off one elimination
+    of the system augmented by its right-hand side.
     """
     k = sv.degree
     if k == 1:
@@ -343,8 +340,9 @@ def expand_squarefree(sv: StressVector, K: SimplicialComplex, p: Embedding) -> S
     verts = th.col_labels
     vcol = {v: i for i, v in enumerate(verts)}
 
+    # rows of [A | -b]: the last column carries the known squarefree terms
+    ncols = len(unknowns) + 1
     rows = []
-    rhs = []
     for size in range(1, k):
         for S in K.faces_of_size(size):
             for exps in _compositions(k - 1, size):
@@ -354,8 +352,7 @@ def expand_squarefree(sv: StressVector, K: SimplicialComplex, p: Embedding) -> S
                 cands = [v for v in verts if v in nu_supp or K.has_face(nu_supp | {v})]
                 for i in range(p.dim + 1):
                     trow = th.entries[i]
-                    row = [R0] * len(unknowns)
-                    b = R0
+                    row = [R0] * ncols
                     touched = False
                     for v in cands:
                         tv = trow[vcol[v]]
@@ -369,23 +366,20 @@ def expand_squarefree(sv: StressVector, K: SimplicialComplex, p: Embedding) -> S
                         else:
                             c = sv.coeffs.get(mono_support(mu))
                             if c:
-                                b -= factor * c
+                                row[-1] += factor * c
                                 touched = True
                     if touched:
                         rows.append(row)
-                        rhs.append(b)
 
-    if unknowns:
-        rnk, kern = exactla.kernel_basis(rows)
-        if kern:
-            raise ExpansionFailure("full polynomial is not unique for this support")
-        sol = exactla.solve_linear(rows, rhs)
-        if sol is None:
-            raise ExpansionFailure("squarefree part admits no stress completion")
-    else:
-        if any(x != 0 for x in rhs):
-            raise ExpansionFailure("squarefree part admits no stress completion")
-        sol = []
+    # kernel vectors come by free column: a first one with last coordinate 0
+    # solves A x = 0, else the only one has last coordinate 1 and solves A x = b;
+    # a zero row keeps the width when nothing was touched (no vertices)
+    _, kern = exactla.kernel_basis(rows or [[R0] * ncols])
+    if kern and kern[0][-1] == 0:
+        raise ExpansionFailure("full polynomial is not unique for this support")
+    if not kern:
+        raise ExpansionFailure("squarefree part admits no stress completion")
+    sol = kern[0][:-1]
 
     full = {mono_from_face(F): c for F, c in sv.coeffs.items()}
     for m, x in zip(unknowns, sol):

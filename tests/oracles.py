@@ -10,19 +10,22 @@ that exactla's integer pivot step replaced, face membership,
 missing faces, avoiding complexes, prime completion and certificate
 sweeps by scanning facets and enumerating subsets of the vertex set,
 as the package did before it grew vertex sets one vertex at a time,
-and hull facets, facet normals and validation checks by the Fraction
-hyperplane loops that geometry's integer normal-and-side test replaced.
-Slow and simple on purpose.
+hull facets, facet normals and validation checks by the Fraction
+hyperplane loops that geometry's integer normal-and-side test replaced,
+kernels and solutions by the Fraction back substitutions that
+exactla's one integer readout replaced, and full polynomials by direct
+differentiation with a kernel check and a solve on Fraction rows.  Slow and simple on purpose.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
 from polystress.detect import _feasible_certificate, _stress_space
 from polystress.errors import CompletionFailure, DegenerateEmbedding, DegenerateFace, InvalidArgument, NotSimplicial
-from polystress.exactla import _integerize, dot, kernel_basis, vec_sub
+from polystress.exactla import _integerize, _rows_of, dot, kernel_basis, vec_sub
 from polystress.geometry import affine_rank
+from polystress.rat import R0, R1, rat
 from polystress.simplicial import build_complex, face_key
 
 
@@ -450,3 +453,120 @@ def fraction_validate_checks(P):
         ("hull_facets_match", hull_ok, "hull facets equal the complex facets"),
         ("euler", euler_ok, "boundary-sphere Euler relation"),
     )
+
+
+# --- kernels and solutions by Fraction back substitution, one loop each
+
+
+def _fraction_echelon(rows, limit):
+    """Row echelon form over Fraction with pivots only in columns < limit:
+    (rows, [(row, col), ...] in elimination order)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(limit):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, col))
+    return rows, pivots
+
+
+def fraction_kernel_basis(A):
+    """exactla.kernel_basis as it was: one Fraction back substitution per free column."""
+    rows = _rows_of(A)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if n == 0:
+        return 0, []
+    if m == 0:
+        return 0, [[R1 if j == i else R0 for j in range(n)] for i in range(n)]
+    ech, pivots = _fraction_echelon(rows, n)
+    rnk = len(pivots)
+    pivot_cols = [c for _, c in pivots]
+    pivot_set = set(pivot_cols)
+    free_cols = [c for c in range(n) if c not in pivot_set]
+    basis = []
+    for f in free_cols:
+        x = [R0] * n
+        x[f] = R1
+        for r in range(rnk - 1, -1, -1):
+            pc = pivot_cols[r]
+            if pc > f:
+                continue
+            acc = R0
+            row = ech[r]
+            for c in range(pc + 1, n):
+                xc = x[c]
+                if xc:
+                    acc += rat(row[c]) * xc
+            x[pc] = -acc / rat(row[pc])
+        basis.append(x)
+    return rnk, basis
+
+
+def fraction_solve_linear(A, b):
+    """exactla.solve_linear as it was: the rhs kept out of the pivots, a scan
+    below the rank for inconsistency, its own Fraction back substitution."""
+    rows = _rows_of(A)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    bvec = [rat(x) for x in b]
+    if len(bvec) != m:
+        raise InvalidArgument("rhs length mismatch")
+    if n == 0:
+        return [] if all(x == 0 for x in bvec) else None
+    aug = [list(rows[i]) + [bvec[i]] for i in range(m)]
+    ech, pivots = _fraction_echelon(aug, n)
+    rnk = len(pivots)
+    for r in range(rnk, m):
+        if ech[r][n] != 0:
+            return None
+    pivot_cols = [c for _, c in pivots]
+    x = [R0] * n
+    for r in range(rnk - 1, -1, -1):
+        pc = pivot_cols[r]
+        row = ech[r]
+        acc = rat(row[n])
+        for c in range(pc + 1, n):
+            if x[c]:
+                acc -= rat(row[c]) * x[c]
+        x[pc] = acc / rat(row[pc])
+    return x
+
+
+def fraction_expand_squarefree(sv, K, p):
+    """expand_squarefree's full polynomial as {flat monomial: Fraction}, or
+    its ExpansionFailure message after the support check: every theta
+    derivative of the unknown face-supported polynomial vanishes at each
+    degree-(k-1) monomial, solved with the two Fraction eliminations above."""
+    k = sv.degree
+    V = K.vertices
+    known = {tuple(F): Fraction(c) for F, c in sv.coeffs.items() if c}
+    unknowns = [m for m in combinations_with_replacement(V, k) if len(set(m)) < k and K.has_face(m)]
+    col = {m: i for i, m in enumerate(unknowns)}
+    A, b = [], []
+    for nu in combinations_with_replacement(V, k - 1):
+        for trow in theta_rows_fractions(p.coords, V, p.dim):
+            row, rhs = [Fraction(0)] * len(unknowns), Fraction(0)
+            for v in V:
+                m = tuple(sorted(nu + (v,)))
+                if m in col:
+                    row[col[m]] += trow[v] * m.count(v)
+                else:  # squarefree: known or zero; off the faces: zero
+                    rhs -= trow[v] * m.count(v) * known.get(m, 0)
+            A.append(row)
+            b.append(rhs)
+    if fraction_kernel_basis(A)[1]:
+        return "full polynomial is not unique for this support"
+    x = fraction_solve_linear(A, b)
+    if x is None:
+        return "squarefree part admits no stress completion"
+    full = dict(known)
+    full.update((m, c) for m, c in zip(unknowns, x) if c)
+    return full

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from polystress import cli, corpus
+from polystress import cli, corpus, exactla
+from polystress.errors import InternalArithmeticError
 from polystress.geometry import Embedding, PolytopeInstance
 from polystress.rat import rat
 
@@ -228,6 +229,17 @@ def test_exit_2_on_deep_nesting(tmp_path, capsys):
     path.write_text("[" * 100000, encoding="utf-8")
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2 and err.startswith("error: top level:")
+
+
+def test_exit_2_on_internal_arithmetic_error(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, "c64.json", "cyclic", n=6, d=4)
+
+    def inexact(*args):
+        raise InternalArithmeticError("inexact division in fraction-free elimination")
+
+    monkeypatch.setattr(exactla, "_pivot_step", inexact)
+    code, text, err = run(capsys, "stress", path, "--k", "2")
+    assert (code, text, err) == (2, "", "error: inexact division in fraction-free elimination\n")
 
 
 def test_argparse_failures_exit_2(capsys):

@@ -3,9 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import fraction_rref, fraction_simplex, gauss_rank, sign_system_feasible
+from oracles import (
+    fraction_kernel_basis,
+    fraction_rref,
+    fraction_simplex,
+    fraction_solve_linear,
+    gauss_rank,
+    sign_system_feasible,
+)
 from polystress import exactla
-from polystress.errors import InvalidArgument, ParseError
+from polystress.errors import InternalArithmeticError, InvalidArgument, ParseError
 from polystress.exactla import (
     RatMatrix,
     kernel_basis,
@@ -78,6 +85,7 @@ def test_kernel_one_row():
 def test_kernel_zero_matrix_and_rows():
     r, basis = kernel_basis([[0, 0, 0]])
     assert r == 0 and len(basis) == 3
+    assert kernel_basis([]) == kernel_basis([[], []]) == (0, [])
     assert rank([[0, 0], [0, 0]]) == 0
 
 
@@ -121,6 +129,22 @@ def test_solve_linear_spec_cases():
     assert solve_linear([[0, 0]], [1]) is None
     # normal equations for projecting e1 onto span{(1,1,0)}
     assert solve_linear([[2]], [1]) == [Rat(1, 2)]
+    # no rows, or rows without columns
+    assert solve_linear([], []) == []
+    assert solve_linear([[], []], [0, 0]) == []
+    assert solve_linear([[], []], [0, 1]) is None
+    with pytest.raises(InvalidArgument):
+        solve_linear([[1]], [])
+
+
+def test_inexact_division_raises_internal_arithmetic_error():
+    # rows that are no fraction-free echelon: their pivots are not leading minors
+    with pytest.raises(InternalArithmeticError):
+        exactla._pivot_step([[1, 1]], [2, 1], 0, 3)
+    with pytest.raises(InternalArithmeticError):
+        exactla._back_substitute([[2, 0, 1], [0, 3, 1]], [(0, 0), (1, 1)], 3, 2)
+    with pytest.raises(InternalArithmeticError):
+        simplex([1, 0], A_ub=[[-1, 1]], b_ub=[0])
 
 
 def test_rref_fixed_point():
@@ -230,6 +254,35 @@ def test_simplex_matches_fraction_tableau(lp):
 @given(st.integers(1, 5).flatmap(lambda n: rat_rows(n, 5)))
 def test_rref_matches_fraction_gauss_jordan(rows):
     assert rref(rows) == fraction_rref(rows)
+
+
+# --- the integer readout vs the Fraction back substitutions it replaced
+
+
+@st.composite
+def linear_system(draw):
+    """A x = b with no rows or no columns, tall or wide, singular through a
+    dependent row, and b in the column span of A or drawn freely."""
+    n = draw(st.integers(0, 5))
+    A = draw(rat_rows(n, 6))
+    if draw(st.booleans()):
+        x0 = [draw(small_rats) for _ in range(n)]
+        b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in A]
+    else:
+        b = [draw(small_rats) for _ in A]
+    return A, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_system())
+@example(([], []))
+@example(([[], []], [0, 1]))
+@example(([[0, 0], [0, 0]], [0, 0]))
+@example(([[1, 2], [2, 4], [1, 3]], [1, 2, 0]))
+def test_kernel_and_solve_match_fraction_back_substitution(system):
+    A, b = system
+    assert kernel_basis(A) == fraction_kernel_basis(A)
+    assert solve_linear(A, b) == fraction_solve_linear(A, b)
 
 
 # --- strict_feasible vs Fourier-Motzkin oracle

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import instance
 from oracles import fraction_brute_force_facets, fraction_facet_normal, fraction_validate_checks, gale_even
+from polystress import geometry
 from polystress.errors import (
     DegenerateEmbedding,
     DegenerateFace,
@@ -188,6 +189,22 @@ def test_caratheodory_reduce():
     rep = [sum(w * Rat(pts[c][i]) for c, w in red.items()) for i in range(2)]
     assert rep == [Rat(1), Rat(1)]
     assert affine_rank([pts[c] for c in red]) == len(red) - 1
+
+
+def test_caratheodory_reduce_keeps_independent_supports(monkeypatch):
+    monkeypatch.setattr(geometry, "affine_rank", None)  # one kernel per round decides
+    pts = {0: (0, 0), 1: (2, 0), 2: (0, 2), 3: (2, 2)}
+    assert caratheodory_reduce(pts, {}) == {}
+    assert caratheodory_reduce(pts, {0: 0, 1: Rat(0)}) == {}
+    assert caratheodory_reduce(pts, {3: 1}) == {3: R1}
+    tri = {0: Rat(1, 2), 1: Rat(1, 4), 2: Rat(1, 4)}
+    assert caratheodory_reduce(pts, tri) == tri
+    assert caratheodory_reduce(pts, {0: Rat(1, 2), 3: Rat(1, 2)}) == {0: Rat(1, 2), 3: Rat(1, 2)}
+
+
+def test_brute_force_facets_rejects_short_point():
+    with pytest.raises(InvalidArgument, match="^point for vertex 3 has length 1, expected 2$"):
+        brute_force_facets({0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (5,)})
 
 
 def test_brute_force_facets_octahedron(octahedron):

@@ -5,7 +5,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import instance
-from oracles import f_vector, g_vector, gauss_rank, is_affine_stress, poly_from_full, supported_on
+from oracles import (
+    f_vector,
+    fraction_expand_squarefree,
+    g_vector,
+    gauss_rank,
+    is_affine_stress,
+    poly_from_full,
+    supported_on,
+)
+from polystress import exactla
 from polystress.errors import (
     DegenerateEmbedding,
     DegenerateFace,
@@ -16,7 +25,7 @@ from polystress.errors import (
 from polystress.exactla import kernel_basis, rref
 from polystress.geometry import Embedding, vertex_figure
 from polystress.rat import R0, R1, rat
-from polystress.simplicial import build_complex, cone, skeleton
+from polystress.simplicial import SimplicialComplex, build_complex, cone, skeleton
 from polystress.stress import (
     RigidityReport,
     StressVector,
@@ -277,16 +286,49 @@ def test_expand_passes_direct_differentiation():
 
 
 def test_expand_rejects_non_stress(octahedron):
-    with pytest.raises(ExpansionFailure):
-        expand_squarefree(
-            StressVector(degree=2, coeffs={(0, 2): R1, (0, 3): R1}),
-            octahedron.complex,
-            octahedron.embedding,
-        )
-    with pytest.raises(ExpansionFailure):
-        expand_squarefree(
-            StressVector(degree=2, coeffs={(0, 1): R1}), octahedron.complex, octahedron.embedding
-        )
+    K, p = octahedron.complex, octahedron.embedding
+    sv = StressVector(degree=2, coeffs={(0, 2): R1, (0, 3): R1})
+    with pytest.raises(ExpansionFailure, match="^squarefree part admits no stress completion$"):
+        expand_squarefree(sv, K, p)
+    assert fraction_expand_squarefree(sv, K, p) == "squarefree part admits no stress completion"
+    with pytest.raises(ExpansionFailure, match=r"^support face \(0, 1\) is not in the complex$"):
+        expand_squarefree(StressVector(degree=2, coeffs={(0, 1): R1}), K, p)
+
+
+def test_expand_reports_a_kernel_before_inconsistency():
+    # the unknowns have a kernel; the first right-hand side is out of reach as well
+    K = build_complex([(0, 1, 3), (2, 3)])
+    p = emb([(-1,), (-1,), (0,), (1,)])
+    for coeffs in ({(0, 1, 3): rat(2)}, {}):
+        sv = StressVector(degree=3, coeffs=coeffs)
+        with pytest.raises(ExpansionFailure, match="^full polynomial is not unique for this support$"):
+            expand_squarefree(sv, K, p)
+        assert fraction_expand_squarefree(sv, K, p) == "full polynomial is not unique for this support"
+
+
+def test_expand_on_complex_without_vertices():
+    K = SimplicialComplex(facets=[])
+    for k in (2, 3):
+        e = expand_squarefree(StressVector(degree=k, coeffs={}), K, Embedding(dim=2, coords={}))
+        assert e == StressVector(degree=k, coeffs={}, full={})
+
+
+def test_expand_eliminates_once(monkeypatch):
+    P = instance("cyclic", n=6, d=4)
+    (sv,) = stress_basis(P.complex, P.embedding, 2)
+    calls = []
+    real = exactla.kernel_basis
+    monkeypatch.setattr(exactla, "kernel_basis", lambda A: calls.append(A) or real(A))
+    monkeypatch.setattr(exactla, "solve_linear", None)
+    expand_squarefree(sv, P.complex, P.embedding)
+    assert len(calls) == 1
+
+
+def test_expand_matches_fraction_solve_on_corpus(full_corpus):
+    for P in full_corpus:
+        for sv in stress_basis(P.complex, P.embedding, 2):
+            e = expand_squarefree(sv, P.complex, P.embedding)
+            assert poly_from_full(e.full) == fraction_expand_squarefree(sv, P.complex, P.embedding), P.meta
 
 
 # ---------------------------------------------------------------------------
