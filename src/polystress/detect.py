@@ -149,10 +149,10 @@ def certificate_check(cert: Certificate, K: SimplicialComplex, p: Embedding) -> 
 
 def _stress_space(carrier: SimplicialComplex, basis, k: int):
     """The k-faces of the carrier in order, their index, and the basis
-    as coordinate vectors over them."""
+    as coordinate vectors over them, scaled to integers once per space."""
     face_order = carrier.faces_of_size(k)
     index = {S: i for i, S in enumerate(face_order)}
-    return face_order, index, [b.as_vector(face_order) for b in basis]
+    return face_order, index, [exactla._integerize(b.as_vector(face_order)) for b in basis]
 
 
 def _feasible_certificate(k, space, skel, M, F):
@@ -520,25 +520,25 @@ def neighborly_certificate(P: PolytopeInstance, M, k: int) -> Certificate:
         for v in V:
             x = p.point(v)[i]
             row.append(x if v in Mset else -x)
-        row.append(R0)
+        row.append(0)
         A_eq.append(row)
-        b_eq.append(R0)
-    A_eq.append([R1 if v in Mset else R0 for v in V] + [R0])
-    b_eq.append(R1)
-    A_eq.append([R0 if v in Mset else R1 for v in V] + [R0])
-    b_eq.append(R1)
+        b_eq.append(0)
+    A_eq.append([1 if v in Mset else 0 for v in V] + [0])
+    b_eq.append(1)
+    A_eq.append([0 if v in Mset else 1 for v in V] + [0])
+    b_eq.append(1)
     A_ub = []
     b_ub = []
     for j, v in enumerate(V):
         if v in Mset:
-            row = [R0] * (n + 1)
-            row[j] = -R1
-            row[n] = R1
+            row = [0] * (n + 1)
+            row[j] = -1
+            row[n] = 1
             A_ub.append(row)
-            b_ub.append(R0)
-    A_ub.append([R0] * n + [R1])
-    b_ub.append(R1)
-    obj = [R0] * n + [R1]
+            b_ub.append(0)
+    A_ub.append([0] * n + [1])
+    b_ub.append(1)
+    obj = [0] * n + [1]
     status, x, value = exactla.simplex(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     if status != "optimal" or value <= 0:
         raise NotMissing(f"relative interior of {M} misses the opposite hull; not a missing face")

@@ -5,7 +5,8 @@ integers, `_pivot_step`: row <- (row*p - row[col]*pivot_row) / prev,
 with p the pivot and prev the pivot before it.  The division is exact
 by Sylvester's identity (Bareiss 1968; Edmonds 1967), so entries stay
 at minor size instead of letting rational numerators and denominators
-feed on each other.  Rows are cleared of denominators once, up front.
+feed on each other.  Entries are ints or `Rat`s; `_integerize` is
+the one way in, clearing each row of denominators once, up front.
 
 - Forward elimination (`rank`, `kernel_basis`, `solve_linear`) applies
   the step to the rows below each pivot.  One integer readout,
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalArithmeticError, InvalidArgument
-from .rat import R0, R1, rat
+from .rat import R0, Rat, rat
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,25 @@ class RatMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def _rows_of(A) -> list[list]:
-    if isinstance(A, RatMatrix):
-        return [list(r) for r in A.entries]
-    return [[rat(x) for x in row] for row in A]
-
-
-def _integerize(row):
-    """Scale a rational row to integers by its positive lcm of denominators."""
+def _integerize(row) -> list[int]:
+    """Scale a row of ints and `Rat`s to integers by the positive lcm of
+    its denominators.  Bools, floats and anything else are rejected."""
     den = 1
     for x in row:
-        d = x.denominator
-        if d != 1:
-            den = math.lcm(den, d)
+        if type(x) is not int:
+            if type(x) is not Rat:
+                raise InvalidArgument(f"{x!r} is a {type(x).__name__}; use ints or rationals")
+            d = x.denominator
+            if d != 1:
+                den = math.lcm(den, d)
     if den == 1:
         return [x.numerator for x in row]
     return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _int_rows(A) -> list[list[int]]:
+    """The rows of a RatMatrix or of a list of rows, integerized."""
+    return [_integerize(row) for row in (A.entries if isinstance(A, RatMatrix) else A)]
 
 
 def _pivot_step(rows, prow, col, prev, start=0):
@@ -127,7 +131,7 @@ def _bareiss_echelon(rows: list[list[int]], reduced: bool = False):
 
 
 def rank(A) -> int:
-    _, pivots = _bareiss_echelon([_integerize(r) for r in _rows_of(A)])
+    _, pivots = _bareiss_echelon(_int_rows(A))
     return len(pivots)
 
 
@@ -163,9 +167,9 @@ def kernel_basis(A) -> tuple[int, list[list]]:
     the free coordinate is set to 1 and pivot coordinates are filled
     by back substitution.
     """
-    rows = _rows_of(A)
+    rows = _int_rows(A)
     n = len(rows[0]) if rows else 0
-    ech, pivots = _bareiss_echelon([_integerize(r) for r in rows])
+    ech, pivots = _bareiss_echelon(rows)
     pivot_set = {c for _, c in pivots}
     return len(pivots), [_back_substitute(ech, pivots, n, f) for f in range(n) if f not in pivot_set]
 
@@ -176,14 +180,14 @@ def solve_linear(A, b) -> list | None:
     Free variables are set to zero, so a unique solution is returned
     verbatim and an underdetermined system yields a particular one.
     """
-    rows = _rows_of(A)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    bvec = [rat(x) for x in b]
-    if len(bvec) != m:
+    rows = A.entries if isinstance(A, RatMatrix) else A
+    if len(b) != len(rows):
         raise InvalidArgument("rhs length mismatch")
+    n = len(rows[0]) if rows else 0
     # [A | -b]: a pivot on the last column means 0 = 1, else x_n = 1 reads off x
-    aug = [_integerize(row + [-x]) for row, x in zip(rows, bvec)]
+    aug = _int_rows([*row, x] for row, x in zip(rows, b))
+    for row in aug:
+        row[-1] = -row[-1]
     ech, pivots = _bareiss_echelon(aug)
     if pivots and pivots[-1][1] == n:
         return None
@@ -197,7 +201,7 @@ def rref(rows) -> tuple[tuple[int, ...], tuple]:
     the same space iff their rrefs are equal, which is what the
     span-comparison tests rely on.
     """
-    ech, pivots = _bareiss_echelon([_integerize(r) for r in _rows_of(rows)], reduced=True)
+    ech, pivots = _bareiss_echelon(_int_rows(rows), reduced=True)
     keep = tuple(tuple(rat(x, ech[r][c]) for x in ech[r]) for r, c in pivots)
     return tuple(c for _, c in pivots), keep
 
@@ -299,23 +303,22 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     b_eq = [] if b_eq is None else b_eq
     n = len(obj)
     n_slack = len(A_ub)
-    # (coeffs over structural vars, slack sign, rhs); slack sign 0 for eq rows
-    rows_raw = [([rat(x) for x in arow], 1, rat(rhs)) for arow, rhs in zip(A_ub, b_ub)]
-    rows_raw += [([rat(x) for x in arow], 0, rat(rhs)) for arow, rhs in zip(A_eq, b_eq)]
-    rows_raw = [([-x for x in a], -slk, -rhs) if rhs < 0 else (a, slk, rhs) for a, slk, rhs in rows_raw]
-    art_rows = [i for i, (_, slk, _) in enumerate(rows_raw) if slk != 1]
+    raw = list(zip(A_ub, b_ub)) + list(zip(A_eq, b_eq))
+    # a row with rhs < 0 is negated; it and every equality start on an artificial
+    art_rows = [i for i, (_, rhs) in enumerate(raw) if i >= n_slack or rhs < 0]
 
     n_art = len(art_rows)
     nvars = n + n_slack + n_art
     art_of = {ri: n + n_slack + k for k, ri in enumerate(art_rows)}
     rows, basis = [], []
-    for i, (arow, slk, rhs) in enumerate(rows_raw):
-        full = arow + [R0] * (n_slack + n_art) + [rhs]
+    for i, (arow, rhs) in enumerate(raw):
+        sgn = -1 if rhs < 0 else 1
+        pad = [0] * (n_slack + n_art)
         if i < n_slack:
-            full[n + i] = rat(slk)
-        basis.append(art_of.get(i, n + i))  # else the slack, coefficient +1 as rhs >= 0
-        full[basis[-1]] = R1
-        rows.append(_integerize(full))
+            pad[i] = 1  # the slack
+        basis.append(art_of.get(i, n + i))
+        pad[basis[-1] - n] = sgn  # the starting basic column reads +1 once the row is negated
+        rows.append([sgn * x for x in _integerize([*arow, *pad, rhs])])
     T = _Tableau(rows, basis)
     # each row was scaled by its own positive factor: pivot the starting basis in
     for r, bv in enumerate(basis):
@@ -336,8 +339,7 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
                 else:
                     T.pivot(r, col)
 
-    obj = [rat(x) for x in obj]
-    T.run(_integerize(obj + [R0] * (n_slack + n_art)), allowed=n + n_slack)
+    T.run(_integerize(obj) + [0] * (n_slack + n_art), allowed=n + n_slack)
     x = [R0] * n
     for r, bv in enumerate(T.basis):
         if bv < n:
@@ -366,7 +368,7 @@ def strict_feasible(basis, strict_coords, weak_coords):
             raise InvalidArgument(f"coordinate {i} out of range")
     # a positive scaling of each basis vector scales the LP's columns,
     # which changes neither Bland's pivot sequence nor the witness
-    basis = [_integerize([rat(x) for x in B]) for B in basis]
+    basis = [_integerize(B) for B in basis]
     # vars: u_0..u_{g-1}, v_0..v_{g-1}, t; coefficients c_j = u_j - v_j
     A_ub = []
     b_ub = []

@@ -265,23 +265,19 @@ def segment_hull_meet(a_pt, b_pt, C_points: dict):
     labels = sorted(C_points)
     if not labels:
         return None
-    a_vec = [rat(x) for x in a_pt]
-    b_vec = [rat(x) for x in b_pt]
-    d = len(a_vec)
-    seg = exactla.vec_sub(b_vec, a_vec)
+    seg = exactla.vec_sub(b_pt, a_pt)
     # vars: mu_c (len labels), s
-    n = len(labels) + 1
     A_eq = []
     b_eq = []
-    for i in range(d):
-        row = [rat(C_points[c][i]) for c in labels] + [-seg[i]]
+    for i in range(len(a_pt)):
+        row = [C_points[c][i] for c in labels] + [-seg[i]]
         A_eq.append(row)
-        b_eq.append(a_vec[i])
-    A_eq.append([R1] * len(labels) + [R0])
-    b_eq.append(R1)
-    A_ub = [[R0] * len(labels) + [R1]]
-    b_ub = [R1]
-    obj = [R0] * len(labels) + [-R1]  # minimize s
+        b_eq.append(a_pt[i])
+    A_eq.append([1] * len(labels) + [0])
+    b_eq.append(1)
+    A_ub = [[0] * len(labels) + [1]]
+    b_ub = [1]
+    obj = [0] * len(labels) + [-1]  # minimize s
     status, x, _ = exactla.simplex(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     if status != "optimal":
         return None

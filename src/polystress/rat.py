@@ -1,22 +1,17 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Everything in this package computes over the rationals.  `Rat` is
-`gmpy2.mpq` when gmpy2 is importable and `fractions.Fraction`
-otherwise; both keep values in lowest terms with a positive
-denominator, hash identically, and interoperate with Python ints.
-Code elsewhere must never divide two bare ints.
+`fractions.Fraction`: values stay in lowest terms with a positive
+denominator and interoperate with Python ints.  Code elsewhere must
+never divide two bare ints.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction as Rat
 
 from .errors import InvalidArgument, ParseError
-
-try:
-    from gmpy2 import mpq as Rat  # type: ignore
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
 
 R0 = Rat(0)
 R1 = Rat(1)
@@ -29,7 +24,7 @@ def rat(a, b=1) -> Rat:
     if b == 1:
         if type(a) is int:
             return Rat(a)
-        if type(a) is type(R0):
+        if type(a) is Rat:
             return a
         if isinstance(a, (bool, float)):
             raise InvalidArgument(f"{a!r} is a {type(a).__name__}; use ints or rationals")

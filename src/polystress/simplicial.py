@@ -33,11 +33,15 @@ class SimplicialComplex:
     """Immutable simplicial complex given by its facets.
 
     Build through `build_complex`, which normalizes input and drops
-    dominated faces; the constructor itself trusts its argument.
+    dominated faces; the constructor only rejects an empty facet set.
     """
 
     facets: frozenset
     _face_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.facets:
+            raise InvalidComplex("a complex needs at least one face")
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -105,8 +109,6 @@ def build_complex(facets) -> SimplicialComplex:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InvalidComplex(f"vertex labels must be nonnegative ints, got {v!r}")
         norm.add(G)
-    if not norm:
-        raise InvalidComplex("a complex needs at least one face")
     maximal = {F for F in norm if not any(F < G for G in norm)}
     return SimplicialComplex(facets=frozenset(maximal))
 

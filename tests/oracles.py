@@ -19,14 +19,36 @@ differentiation with a kernel check and a solve on Fraction rows.  Slow and simp
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from polystress.detect import _feasible_certificate, _stress_space
 from polystress.errors import CompletionFailure, DegenerateEmbedding, DegenerateFace, InvalidArgument, NotSimplicial
-from polystress.exactla import _integerize, _rows_of, dot, kernel_basis, vec_sub
+from polystress.exactla import RatMatrix, dot, kernel_basis, vec_sub
 from polystress.geometry import affine_rank
 from polystress.rat import R0, R1, rat
 from polystress.simplicial import build_complex, face_key
+
+
+# --- rows read entry by entry into Fraction and integerized, as exactla
+# read its input before ints and Rats went straight to its integer rows
+
+
+def _rows_of(A) -> list[list]:
+    if isinstance(A, RatMatrix):
+        return [list(r) for r in A.entries]
+    return [[rat(x) for x in row] for row in A]
+
+
+def _integerize(row):
+    """Scale a rational row to integers by its positive lcm of denominators."""
+    den = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def closure_faces(facets):

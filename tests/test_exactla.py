@@ -147,6 +147,44 @@ def test_inexact_division_raises_internal_arithmetic_error():
         simplex([1, 0], A_ub=[[-1, 1]], b_ub=[0])
 
 
+def test_int_input_reaches_rat_only_in_the_readout(monkeypatch):
+    calls = []
+
+    def counted(a, b=1):
+        calls.append((a, b))
+        return rat(a, b)
+
+    monkeypatch.setattr(exactla, "rat", counted)
+    rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, -1, 5]]
+    r, basis = kernel_basis(rows)
+    assert (r, len(basis)) == (2, 2)
+    assert len(calls) == 4 * len(basis)  # one per coordinate of each kernel vector
+    calls.clear()
+    status, x, value = simplex([1, 1, 0], A_ub=[[1, 0, 1], [0, 1, 1]], b_ub=[1, 2], A_eq=[[1, -1, 0]], b_eq=[0])
+    assert (status, x, value) == ("optimal", [1, 1, 0], 2)
+    assert len(calls) <= len(x) + 1  # the basic coordinates of x, and the value
+
+
+_ENTRY_POINTS = [
+    ("rank", lambda e: rank([[1, e]])),
+    ("kernel_basis", lambda e: kernel_basis([[1, e]])),
+    ("solve_linear A", lambda e: solve_linear([[1, e]], [1])),
+    ("solve_linear b", lambda e: solve_linear([[1, 2]], [e])),
+    ("rref", lambda e: rref([[1, e]])),
+    ("simplex obj", lambda e: simplex([1, e], A_ub=[[1, 1]], b_ub=[1])),
+    ("simplex A_ub", lambda e: simplex([1, 1], A_ub=[[1, e]], b_ub=[1])),
+    ("simplex b_eq", lambda e: simplex([1, 1], A_eq=[[1, 1]], b_eq=[e])),
+    ("strict_feasible", lambda e: strict_feasible([[1, e]], [0], [1])),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 0.5], ids=["bool", "float"])
+@pytest.mark.parametrize("call", [c for _, c in _ENTRY_POINTS], ids=[name for name, _ in _ENTRY_POINTS])
+def test_entry_points_reject_bool_and_float(call, bad):
+    with pytest.raises(InvalidArgument, match="use ints or rationals"):
+        call(bad)
+
+
 def test_rref_fixed_point():
     rows = [[2, 4, 6], [1, 2, 3], [0, 1, 1]]
     pivots, red = rref(rows)
@@ -196,7 +234,12 @@ def test_simplex_unbounded_raises():
 
 # --- integer tableau and rref vs the Fraction versions they replaced
 
-small_rats = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=7))
+# ints and Fractions mixed, as callers pass them
+small_rats = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.integers(min_value=-4, max_value=4),
+)
 
 
 @st.composite

@@ -1,10 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+every module it imports from outside the package is in the standard
+library, as `dependencies = []` in pyproject.toml promises.
 
 A stdlib `ast` stand-in for a linter's unused-import rule.  The
-package `__init__` is exempt: its imports are the public re-exports.
+package `__init__` is exempt from it: its imports are the public
+re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,25 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def absolute_imports(source: str) -> list:
+    """(line, top-level module) of every absolute import in `source`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.extend((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module.split(".")[0]))
+    return out
+
+
+def test_absolute_imports_are_found():
+    source = "import os.path\nfrom . import a\nfrom .b import c\nfrom fractions import Fraction\n"
+    assert absolute_imports(source) == [(1, "os"), (4, "fractions")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    imports = absolute_imports(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in imports if name not in sys.stdlib_module_names] == []

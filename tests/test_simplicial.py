@@ -5,6 +5,7 @@ from conftest import instance
 from oracles import f_vector, g_vector, scan_has_face, subset_missing_faces
 from polystress.errors import InvalidArgument, InvalidComplex, NotAFace
 from polystress.simplicial import (
+    SimplicialComplex,
     build_complex,
     cone,
     extensions,
@@ -35,6 +36,13 @@ def test_build_complex_rejects_bad_labels():
         build_complex([{"a"}])
     with pytest.raises(InvalidComplex):
         build_complex([])
+
+
+def test_empty_complex_is_rejected():
+    with pytest.raises(InvalidComplex, match="^a complex needs at least one face$"):
+        SimplicialComplex(facets=frozenset())
+    K = build_complex([()])  # {()} has a face, but no vertices
+    assert K.vertices == () and K.dim == -1 and K.f_counts() == (1,)
 
 
 def test_faces_of_size_and_counts():

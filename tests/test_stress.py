@@ -25,7 +25,7 @@ from polystress.errors import (
 from polystress.exactla import kernel_basis, rref
 from polystress.geometry import Embedding, vertex_figure
 from polystress.rat import R0, R1, rat
-from polystress.simplicial import SimplicialComplex, build_complex, cone, skeleton
+from polystress.simplicial import build_complex, cone, skeleton
 from polystress.stress import (
     RigidityReport,
     StressVector,
@@ -307,7 +307,7 @@ def test_expand_reports_a_kernel_before_inconsistency():
 
 
 def test_expand_on_complex_without_vertices():
-    K = SimplicialComplex(facets=[])
+    K = build_complex([()])
     for k in (2, 3):
         e = expand_squarefree(StressVector(degree=k, coeffs={}), K, Embedding(dim=2, coords={}))
         assert e == StressVector(degree=k, coeffs={}, full={})
