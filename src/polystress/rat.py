@@ -20,15 +20,17 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(a, b=1) -> Rat:
-    """Build a rational from an int pair or pass an existing Rat through."""
+    """Build a rational from an int pair or pass an existing Rat through.
+
+    A lone argument must be an int or a Rat, as in `exactla`; bools,
+    floats, strings and every other type raise InvalidArgument.
+    """
     if b == 1:
         if type(a) is int:
             return Rat(a)
         if type(a) is Rat:
             return a
-        if isinstance(a, (bool, float)):
-            raise InvalidArgument(f"{a!r} is a {type(a).__name__}; use ints or rationals")
-        return Rat(a)
+        raise InvalidArgument(f"{a!r} is a {type(a).__name__}; use ints or rationals")
     return Rat(a, b)
 
 

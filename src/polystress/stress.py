@@ -291,10 +291,14 @@ def is_infinitesimally_rigid(K: SimplicialComplex, p: Embedding) -> RigidityRepo
     if affine_rank(pts) != d:
         raise DegenerateEmbedding("embedding does not span the ambient space")
     R = rigidity_matrix(graph, p, 2)
-    rnk = exactla.rank(R)
     f0 = len(graph.vertices)
     f1 = len(graph.faces_of_size(2))
     expected = d * f0 - comb(d + 1, 2)
+    # rank mod p <= rank <= expected (the trivial motions of a spanning
+    # embedding), so a rank mod p that reaches expected settles it
+    rnk = exactla.modular_rank(R)
+    if rnk != expected:
+        rnk = exactla.rank(R)
     return RigidityReport(
         rigid=rnk == expected,
         rank=rnk,

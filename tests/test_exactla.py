@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,12 @@ def test_parse_rat_rejects(bad):
 @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, float("nan")])
 def test_rat_rejects_bool_and_float(bad):
     with pytest.raises(InvalidArgument):
+        rat(bad)
+
+
+@pytest.mark.parametrize("bad", ["1/2", " 3 ", Decimal("0.1"), None])
+def test_rat_rejects_strings_and_other_types(bad):
+    with pytest.raises(InvalidArgument, match="use ints or rationals"):
         rat(bad)
 
 
@@ -227,6 +234,14 @@ def test_simplex_drive_out_and_redundant_row():
     assert out == ("optimal", [Rat(0), Rat(0)], Rat(0))
 
 
+def test_simplex_rejects_rhs_length_mismatch():
+    # a zip of rows and rhs would drop the extra b_ub entry, or every equality
+    with pytest.raises(InvalidArgument, match="rhs length mismatch"):
+        simplex([1], A_ub=[[1]], b_ub=[5, -1])
+    with pytest.raises(InvalidArgument, match="rhs length mismatch"):
+        simplex([1], A_eq=[[1]], b_eq=[])
+
+
 def test_simplex_unbounded_raises():
     with pytest.raises(ArithmeticError):
         simplex([1, 0], A_ub=[[-1, 1]], b_ub=[0])
@@ -326,6 +341,71 @@ def test_kernel_and_solve_match_fraction_back_substitution(system):
     A, b = system
     assert kernel_basis(A) == fraction_kernel_basis(A)
     assert solve_linear(A, b) == fraction_solve_linear(A, b)
+
+
+# --- the modular kernel route vs Bareiss and the Fraction oracle
+
+P61 = exactla._PRIMES[0]
+
+
+def modular_kernel(A):
+    rows = exactla._int_rows(A)
+    return exactla._modular_kernel(rows, len(rows[0]) if rows else 0)
+
+
+@pytest.fixture
+def primes_tried(monkeypatch):
+    """The bit lengths of the primes the modular route eliminates mod."""
+    tried = []
+    real = exactla._rref_mod
+
+    def spy(rows, p):
+        tried.append(p.bit_length())
+        return real(rows, p)
+
+    monkeypatch.setattr(exactla, "_rref_mod", spy)
+    return tried
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda n: rat_rows(n, 6)))
+@example([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, -1, 5]])
+@example([[0, 0, 0]])
+@example([[], []])
+@example([])
+def test_modular_kernel_matches_bareiss_and_fraction_oracle(A):
+    # below the cutoff, kernel_basis is the Bareiss route
+    assert len(A) * len(A[0] if A else ()) < exactla._MODULAR_CELLS
+    assert modular_kernel(A) == kernel_basis(A) == fraction_kernel_basis(A)
+
+
+def test_modular_kernel_moves_on_when_the_rank_drops_mod_p(primes_tried):
+    # mod 2^61-1 the matrix is 0, so e_0 and e_1 read off as a kernel:
+    # only the exact check A x = 0 rejects them
+    assert modular_kernel([[P61, P61]]) == kernel_basis([[P61, P61]]) == (1, [[-1, 1]])
+    assert primes_tried == [61, 89]
+
+
+def test_modular_kernel_escalates_past_the_reconstruction_bound(primes_tried):
+    # x_0 = 2^40 exceeds sqrt(p/2) for p = 2^61-1, where the residue reads
+    # back as 1/2^21; the check rejects that, and 2^89-1 holds 2^40
+    A = [[1, -(1 << 40)], [2, -(1 << 41)]]
+    assert modular_kernel(A) == kernel_basis(A) == (1, [[1 << 40, 1]])
+    assert primes_tried == [61, 89]
+
+
+def test_kernel_basis_lands_on_bareiss_when_every_prime_fails(monkeypatch, primes_tried):
+    # 2^600 is beyond the reconstruction bound of every prime in the list
+    A = [[1, -(1 << 600)], [0, 0]]
+    monkeypatch.setattr(exactla, "_MODULAR_CELLS", 1)
+    assert kernel_basis(A) == (1, [[1 << 600, 1]])
+    assert primes_tried == [p.bit_length() for p in exactla._PRIMES]
+    assert modular_kernel(A) is None
+
+
+def test_modular_rank_is_a_lower_bound():
+    assert exactla.modular_rank([[P61, 0], [0, 1]]) == 1 < rank([[P61, 0], [0, 1]]) == 2
+    assert exactla.modular_rank([[1, 2], [3, 4], [5, 6]]) == 2
 
 
 # --- strict_feasible vs Fourier-Motzkin oracle

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from itertools import combinations
 
 import pytest
@@ -288,6 +289,13 @@ def test_embedding_build_rejects_float_and_bool(bad):
     with pytest.raises(InvalidArgument):
         Embedding.build(2, {0: (0, 1), 1: (bad, 0)})
     assert Embedding.build(2, {0: (0, Rat(1, 2))}).point(0) == (0, Rat(1, 2))
+
+
+@pytest.mark.parametrize("bad", ["1/2", Decimal("0.1"), " 3 "])
+def test_embedding_build_rejects_strings_and_decimals(bad):
+    # documents are parsed by parse_rat; library callers pass numbers only
+    with pytest.raises(InvalidArgument, match="use ints or rationals"):
+        Embedding.build(1, {0: (0,), 1: (bad,)})
 
 
 def outcome(f, *args):

@@ -184,6 +184,31 @@ def test_stress_basis_rejects_degree_zero(octahedron):
         stress_basis(octahedron.complex, octahedron.embedding, 0)
 
 
+def test_stress_basis_routes_agree_on_corpus(full_corpus, monkeypatch):
+    # every k = 2, 3 rigidity matrix at or above the cutoff: the modular
+    # route must succeed on it, and Bareiss alone must give the same basis
+    big = []
+    for P in full_corpus:
+        for k in (2, 3):
+            R = rigidity_matrix(P.complex, P.embedding, k)
+            if R.nrows * R.ncols >= exactla._MODULAR_CELLS:
+                big.append((P, k))
+    assert len(big) >= 20
+    real = exactla._modular_kernel
+    won = []
+
+    def spy(rows, n):
+        won.append(real(rows, n))
+        return won[-1]
+
+    monkeypatch.setattr(exactla, "_modular_kernel", spy)
+    modular = [stress_basis(P.complex, P.embedding, k) for P, k in big]
+    assert len(won) == len(big) and None not in won
+    monkeypatch.setattr(exactla, "_MODULAR_CELLS", float("inf"))
+    assert [stress_basis(P.complex, P.embedding, k) for P, k in big] == modular
+    assert len(won) == len(big)
+
+
 # ---------------------------------------------------------------------------
 # balancing residuals
 
@@ -246,6 +271,13 @@ def test_rigid_simplex_graph():
     P = instance("simplex", d=5)
     rep = is_infinitesimally_rigid(P.complex, P.embedding)
     assert rep.rigid and rep.stress_dim == 0
+
+
+def test_rigidity_rank_mod_p_short_of_the_bound_falls_back(octahedron, monkeypatch):
+    # a rank mod p below d*f0 - C(d+1, 2) settles nothing: the exact rank decides
+    monkeypatch.setattr(exactla, "modular_rank", lambda R: 0)
+    rep = is_infinitesimally_rigid(octahedron.complex, octahedron.embedding)
+    assert rep.rigid and rep.rank == 12
 
 
 def test_rigidity_rejects_flat_embedding():
