@@ -50,7 +50,7 @@ from .stress import (
     StressVector,
     balancing_residual,
     expand_squarefree,
-    poly_partial,
+    poly_directional,
     power_stress,
     rigidity_matrix,
     stress_basis,
@@ -570,7 +570,7 @@ def recover_stress1_from_stress2(P: PolytopeInstance) -> list[StressVector]:
     for sv in stress_basis(K, p, 2):
         full = expand_squarefree(sv, K, p).full
         for v in V:
-            der = poly_partial(full, v)
+            der = poly_directional(full, {v: R1})
             if not der:
                 continue
             row = [R0] * len(V)

@@ -8,21 +8,19 @@ at minor size instead of letting rational numerators and denominators
 feed on each other.  Entries are ints or `Rat`s; `_integerize` is
 the one way in, clearing each row of denominators once, up front.
 
-- Forward elimination (`rank`, `kernel_basis`, `solve_linear`) applies
-  the step to the rows below each pivot.  One integer readout,
-  `_back_substitute`, reads every kernel vector off the echelon form,
-  and a solution of A x = b is the kernel vector of [A | -b] whose
-  last coordinate is 1; each vector becomes rational only at its end.
-- `rref` applies it to every other row (fraction-free Gauss-Jordan)
-  and divides each row by its pivot only at the end.
-- The exception: `kernel_basis` on a matrix of at least
-  `_MODULAR_CELLS` cells first eliminates mod a prime
+- Forward elimination applies the step to the rows below each pivot;
+  `rank` is the number of pivots.
+- `_kernel` is the one kernel core: it picks the route and reads the
+  basis, one vector per free column.  On a matrix of at least
+  `_MODULAR_CELLS` cells it first eliminates mod a prime
   (`_modular_kernel`, after Dixon 1982), where entries cannot grow,
   rationally reconstructs each basis vector and checks A x = 0
-  exactly on the integer rows.  A checked basis is the one Bareiss
-  gives; Bareiss stays the route for small matrices and whenever no
-  prime in the list yields a checked basis.  `modular_rank` is the
-  same elimination's rank, a lower bound on the rank.
+  exactly on the integer rows.  A checked basis, and with it the rank,
+  is the one Bareiss gives; Bareiss and the one integer readout
+  `_back_substitute` stay the route for small matrices and whenever no
+  prime in the list yields a checked basis.  `kernel_basis`,
+  `solve_linear` (the kernel vector of [A | -b] whose last coordinate
+  is 1) and `rref` (each row read off the kernel vectors) sit on it.
 - The LP is a dense two-phase primal simplex with Bland's rule, so it
   terminates and every run of it is deterministic.  Its tableau holds
   integer rows over one shared denominator; a pivot is the same step
@@ -37,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalArithmeticError, InvalidArgument
-from .rat import R0, Rat, rat
+from .rat import R0, R1, Rat, rat
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,7 @@ class RatMatrix:
     @staticmethod
     def from_rows(rows, row_labels=None, col_labels=None) -> "RatMatrix":
         ent = tuple(tuple(rat(x) for x in row) for row in rows)
-        widths = {len(r) for r in ent}
-        if len(widths) > 1:
-            raise InvalidArgument("ragged rows")
+        _check_width(ent, len(ent[0]) if ent else 0)
         return RatMatrix(entries=ent, row_labels=row_labels, col_labels=col_labels)
 
     @property
@@ -63,6 +59,11 @@ class RatMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
+
+
+def _check_width(rows, n) -> None:
+    if any(len(row) != n for row in rows):
+        raise InvalidArgument("ragged rows")
 
 
 def _integerize(row) -> list[int]:
@@ -83,7 +84,9 @@ def _integerize(row) -> list[int]:
 
 def _int_rows(A) -> list[list[int]]:
     """The rows of a RatMatrix or of a list of rows, integerized."""
-    return [_integerize(row) for row in (A.entries if isinstance(A, RatMatrix) else A)]
+    rows = [_integerize(row) for row in (A.entries if isinstance(A, RatMatrix) else A)]
+    _check_width(rows, len(rows[0]) if rows else 0)
+    return rows
 
 
 def _pivot_step(rows, prow, col, prev, start=0):
@@ -106,14 +109,11 @@ def _pivot_step(rows, prow, col, prev, start=0):
             row[c] = q
 
 
-def _bareiss_echelon(rows: list[list[int]], reduced: bool = False):
-    """Fraction-free elimination of integer rows, in place.
+def _bareiss_echelon(rows: list[list[int]]):
+    """Forward fraction-free elimination of integer rows, in place.
 
     Returns (rows, pivots) where pivots is a list of (row, col) in
-    elimination order.  Forward elimination updates the rows below
-    each pivot; `reduced` updates the rows above as well (Gauss-Jordan),
-    after which every pivot row carries the last pivot on its pivot
-    column.
+    elimination order.
     """
     m = len(rows)
     pivots: list[tuple[int, int]] = []
@@ -127,8 +127,6 @@ def _bareiss_echelon(rows: list[list[int]], reduced: bool = False):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
-        if reduced:
-            _pivot_step(rows[:r], prow, col, prev)
         _pivot_step(rows[r + 1:], prow, col, prev, col)  # zero left of col below the pivot
         pivots.append((r, col))
         prev = prow[col]
@@ -244,9 +242,9 @@ def _reconstruct(xs, p) -> tuple[list[int], int] | None:
     return out, den
 
 
-def _modular_kernel(rows, n) -> tuple[int, list[list]] | None:
-    """`kernel_basis` of integer rows with n columns by elimination mod
-    a prime, or None if no prime in `_PRIMES` yields a verified basis.
+def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
+    """`_kernel` of integer rows with n columns by elimination mod a
+    prime, or None if no prime in `_PRIMES` yields a verified basis.
 
     For each prime p in turn: compute the RREF mod p; for each free
     column f, read off the vector with x_f = 1, every other free
@@ -285,38 +283,35 @@ def _modular_kernel(rows, n) -> tuple[int, list[list]] | None:
                 break
             basis.append([rat(v, den) for v in x])
         else:
-            return len(cols), basis
+            return cols, basis
     return None
 
 
-def kernel_basis(A) -> tuple[int, list[list]]:
-    """Rank and a deterministic kernel basis of A.
+def _kernel(rows, n) -> tuple[list[int], list[list]]:
+    """Pivot columns and kernel basis of integer rows with n columns.
 
     One basis vector per free column, ordered by free column index;
-    the free coordinate is set to 1 and pivot coordinates are filled
-    by back substitution.  Matrices of at least `_MODULAR_CELLS` cells
-    try `_modular_kernel` first, which returns the same basis when it
-    succeeds; Bareiss elimination is the route otherwise.
+    the free coordinate is set to 1, every other free coordinate to 0,
+    and the pivot coordinates solve the system (those right of the
+    free column are 0).  Matrices of at least `_MODULAR_CELLS` cells
+    try `_modular_kernel` first, which returns the same pivots and
+    basis when it succeeds; Bareiss elimination is the route otherwise.
     """
-    rows = _int_rows(A)
-    n = len(rows[0]) if rows else 0
     if len(rows) * n >= _MODULAR_CELLS:
         out = _modular_kernel(rows, n)
         if out is not None:
             return out
     ech, pivots = _bareiss_echelon(rows)
-    pivot_set = {c for _, c in pivots}
-    return len(pivots), [_back_substitute(ech, pivots, n, f) for f in range(n) if f not in pivot_set]
+    cols = [c for _, c in pivots]
+    pivot_set = set(cols)
+    return cols, [_back_substitute(ech, pivots, n, f) for f in range(n) if f not in pivot_set]
 
 
-def modular_rank(A) -> int:
-    """The rank of A mod the first prime of the modular route.
-
-    Never above rank(A), since every minor of the integerized rows
-    reduces mod p; a caller that knows an upper bound on the rank is
-    done when this reaches it.
-    """
-    return len(_rref_mod(_int_rows(A), _PRIMES[0])[1])
+def kernel_basis(A) -> tuple[int, list[list]]:
+    """Rank and the deterministic kernel basis of A (see `_kernel`)."""
+    rows = _int_rows(A)
+    cols, basis = _kernel(rows, len(rows[0]) if rows else 0)
+    return len(cols), basis
 
 
 def solve_linear(A, b) -> list | None:
@@ -329,14 +324,15 @@ def solve_linear(A, b) -> list | None:
     if len(b) != len(rows):
         raise InvalidArgument("rhs length mismatch")
     n = len(rows[0]) if rows else 0
-    # [A | -b]: a pivot on the last column means 0 = 1, else x_n = 1 reads off x
+    # [A | -b]: a pivot on the last column means 0 = 1, else the kernel
+    # vector with x_n = 1, the last of the basis, reads off x
     aug = _int_rows([*row, x] for row, x in zip(rows, b))
     for row in aug:
         row[-1] = -row[-1]
-    ech, pivots = _bareiss_echelon(aug)
-    if pivots and pivots[-1][1] == n:
+    cols, basis = _kernel(aug, n + 1)
+    if n in cols:
         return None
-    return _back_substitute(ech, pivots, n + 1, n)[:n]
+    return basis[-1][:n]
 
 
 def rref(rows) -> tuple[tuple[int, ...], tuple]:
@@ -344,11 +340,17 @@ def rref(rows) -> tuple[tuple[int, ...], tuple]:
 
     Returns (pivot columns, nonzero rows); two row collections span
     the same space iff their rrefs are equal, which is what the
-    span-comparison tests rely on.
+    span-comparison tests rely on.  The row of pivot c has 1 at c, 0
+    at every other pivot and -x_f[c] at each free column f, x_f being
+    the kernel vector of f; the RREF is unique, so this is Gauss-Jordan's.
     """
-    ech, pivots = _bareiss_echelon(_int_rows(rows), reduced=True)
-    keep = tuple(tuple(rat(x, ech[r][c]) for x in ech[r]) for r, c in pivots)
-    return tuple(c for _, c in pivots), keep
+    ints = _int_rows(rows)
+    n = len(ints[0]) if ints else 0
+    cols, basis = _kernel(ints, n)
+    pivot_set = set(cols)
+    free = dict(zip((f for f in range(n) if f not in pivot_set), basis))
+    keep = tuple(tuple(R1 if j == c else -free[j][c] if j in free else R0 for j in range(n)) for c in cols)
+    return tuple(cols), keep
 
 
 def dot(u, v):
@@ -449,6 +451,7 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
         raise InvalidArgument("rhs length mismatch")
     n = len(obj)
+    _check_width([*A_ub, *A_eq], n)
     n_slack = len(A_ub)
     raw = list(zip(A_ub, b_ub)) + list(zip(A_eq, b_eq))
     # a row with rhs < 0 is negated; it and every equality start on an artificial
@@ -504,12 +507,13 @@ def strict_feasible(basis, strict_coords, weak_coords):
     """
     strict = sorted(set(strict_coords))
     weak = sorted(set(weak_coords))
+    ncoords = len(basis[0]) if basis else 0
+    _check_width(basis, ncoords)
     if not strict:
-        return [R0] * (len(basis[0]) if basis else 0)
+        return [R0] * ncoords
     if not basis:
         return None
     g = len(basis)
-    ncoords = len(basis[0])
     for i in strict + weak:
         if not 0 <= i < ncoords:
             raise InvalidArgument(f"coordinate {i} out of range")

@@ -79,20 +79,6 @@ def mono_exp(mono: Monomial, v: int) -> int:
     return 0
 
 
-def poly_partial(poly: dict, v: int) -> dict:
-    out: dict = {}
-    for mono, c in poly.items():
-        e = mono_exp(mono, v)
-        if e:
-            key = mono_div_var(mono, v)
-            val = out.get(key, R0) + c * e
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return out
-
-
 def poly_directional(poly: dict, weights: dict) -> dict:
     """Sum over v of weights[v] * d/dx_v, applied to poly."""
     out: dict = {}
@@ -283,7 +269,9 @@ def is_infinitesimally_rigid(K: SimplicialComplex, p: Embedding) -> RigidityRepo
     """Rank test on the 2-rigidity matrix of the graph of K.
 
     Rigid iff rank equals d*f_0 - C(d+1, 2); the kernel dimension is
-    the number of independent 2-stresses either way.
+    the number of independent 2-stresses either way.  The rank is
+    `kernel_basis`'s, so it is exact on either of its routes, whether
+    the framework is rigid or not.
     """
     graph = K if K.dim <= 1 else skeleton(K, 1)
     d = p.dim
@@ -294,11 +282,7 @@ def is_infinitesimally_rigid(K: SimplicialComplex, p: Embedding) -> RigidityRepo
     f0 = len(graph.vertices)
     f1 = len(graph.faces_of_size(2))
     expected = d * f0 - comb(d + 1, 2)
-    # rank mod p <= rank <= expected (the trivial motions of a spanning
-    # embedding), so a rank mod p that reaches expected settles it
-    rnk = exactla.modular_rank(R)
-    if rnk != expected:
-        rnk = exactla.rank(R)
+    rnk, _ = exactla.kernel_basis(R)
     return RigidityReport(
         rigid=rnk == expected,
         rank=rnk,

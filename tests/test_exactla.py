@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -349,8 +350,10 @@ P61 = exactla._PRIMES[0]
 
 
 def modular_kernel(A):
+    """`_modular_kernel` read as `kernel_basis` reads `_kernel`: (rank, basis)."""
     rows = exactla._int_rows(A)
-    return exactla._modular_kernel(rows, len(rows[0]) if rows else 0)
+    out = exactla._modular_kernel(rows, len(rows[0]) if rows else 0)
+    return out and (len(out[0]), out[1])
 
 
 @pytest.fixture
@@ -403,9 +406,49 @@ def test_kernel_basis_lands_on_bareiss_when_every_prime_fails(monkeypatch, prime
     assert modular_kernel(A) is None
 
 
-def test_modular_rank_is_a_lower_bound():
-    assert exactla.modular_rank([[P61, 0], [0, 1]]) == 1 < rank([[P61, 0], [0, 1]]) == 2
-    assert exactla.modular_rank([[1, 2], [3, 4], [5, 6]]) == 2
+def _low_rank(seed, m=60, n=45, r=16):
+    """A seeded m x n integer matrix of rank at most r, m * n above the cutoff."""
+    rng = random.Random(seed)
+    L = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+    R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*R)] for row in L]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rref_and_solve_linear_above_the_cutoff(seed, no_large_bareiss):
+    A = _low_rank(seed)
+    assert len(A) * len(A[0]) >= exactla._MODULAR_CELLS
+    pivots, red = rref(A)
+    assert (pivots, red) == fraction_rref(A)
+    assert len(pivots) < len(A[0])
+    rng = random.Random(seed)
+    x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in A[0]]
+    consistent = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    inconsistent = [rng.randint(-9, 9) for _ in A]
+    for b in (consistent, inconsistent):
+        assert solve_linear(A, b) == fraction_solve_linear(A, b)
+    assert solve_linear(A, inconsistent) is None
+
+
+_RAGGED = [
+    ("kernel_basis", lambda: kernel_basis([[1, 2], [3]])),
+    ("rank", lambda: rank([[1, 2], [3]])),
+    ("rref", lambda: rref([[1, 2], [3]])),
+    ("solve_linear", lambda: solve_linear([[1, 2], [3]], [1, 2])),
+    ("RatMatrix", lambda: RatMatrix.from_rows([[1, 2], [3]])),
+    # a long row's third entry would be read as a slack coefficient
+    ("simplex long A_ub row", lambda: simplex([1, 1], A_ub=[[1, 1, 1], [1, 1]], b_ub=[1, 2])),
+    ("simplex short A_ub row", lambda: simplex([1, 1], A_ub=[[1], [1, 1]], b_ub=[1, 2])),
+    ("simplex short A_eq row", lambda: simplex([1, 1], A_eq=[[1]], b_eq=[1])),
+    ("strict_feasible", lambda: strict_feasible([[1, 2], [1]], [1], [])),
+    ("strict_feasible no strict", lambda: strict_feasible([[1, 2], [1]], [], [])),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in _RAGGED], ids=[name for name, _ in _RAGGED])
+def test_ragged_rows_are_rejected(call):
+    with pytest.raises(InvalidArgument, match="ragged rows"):
+        call()
 
 
 # --- strict_feasible vs Fourier-Motzkin oracle

@@ -273,11 +273,17 @@ def test_rigid_simplex_graph():
     assert rep.rigid and rep.stress_dim == 0
 
 
-def test_rigidity_rank_mod_p_short_of_the_bound_falls_back(octahedron, monkeypatch):
-    # a rank mod p below d*f0 - C(d+1, 2) settles nothing: the exact rank decides
-    monkeypatch.setattr(exactla, "modular_rank", lambda R: 0)
-    rep = is_infinitesimally_rigid(octahedron.complex, octahedron.embedding)
-    assert rep.rigid and rep.rank == 12
+def test_flexible_graph_rank_above_the_cutoff(no_large_bareiss):
+    # a stacked polytope's graph is rigid with no 2-stress; without one edge
+    # its rank falls one short, and the kernel route alone must certify that
+    P = instance("stacked", d=5, steps=12, seed=3)
+    graph = build_complex(sorted(P.complex.faces_of_size(2))[1:])
+    R = rigidity_matrix(graph, P.embedding, 2)
+    assert R.nrows * R.ncols >= exactla._MODULAR_CELLS
+    rep = is_infinitesimally_rigid(graph, P.embedding)
+    assert not rep.rigid
+    assert (rep.rank, rep.expected_rank, rep.stress_dim) == (74, 75, 0)
+    assert rep.rank == gauss_rank(R.entries)
 
 
 def test_rigidity_rejects_flat_embedding():
