@@ -15,10 +15,14 @@ the one way in, clearing each row of denominators once, up front.
   `_MODULAR_CELLS` cells it first eliminates mod a prime
   (`_modular_kernel`, after Dixon 1982), where entries cannot grow,
   rationally reconstructs each basis vector and checks A x = 0
-  exactly on the integer rows.  A checked basis, and with it the rank,
-  is the one Bareiss gives; Bareiss and the one integer readout
-  `_back_substitute` stay the route for small matrices and whenever no
-  prime in the list yields a checked basis.  `kernel_basis`,
+  exactly on the integer rows.  That elimination, `_rref_mod`, keeps
+  each row as a {column: residue} dict without zeros, because
+  rigidity matrices are mostly zeros, and pivots each column on the
+  sparsest row nonzero there; the RREF mod p is unique, so the choice
+  of pivot row does not change the result.  A checked basis, and with
+  it the rank, is the one Bareiss gives; Bareiss and the one integer
+  readout `_back_substitute` stay the route for small matrices and
+  whenever no prime in the list yields a checked basis.  `kernel_basis`,
   `solve_linear` (the kernel vector of [A | -b] whose last coordinate
   is 1) and `rref` (each row read off the kernel vectors) sit on it.
 - The LP is a dense two-phase primal simplex with Bland's rule, so it
@@ -170,39 +174,54 @@ def _back_substitute(ech, pivots, n, f) -> list:
 _PRIMES = tuple((1 << e) - 1 for e in (61, 89, 127, 521))
 # Below this many cells a matrix stays on Bareiss: entry growth is still
 # small there, and the modular route's set-up, reconstruction and exact
-# check cost about as much as they save, or more when the coordinates
-# force a second prime (measured on 126 corpus and certify kernels:
-# 0.25x to 4.3x Bareiss's time below 2000 cells, 0.08x to 0.95x above).
+# check can cost more than they save, most of all when the coordinates
+# force a second prime.  Timed on 90 corpus rigidity matrices (k = 2, 3,
+# 4) and 214 certify kernels, the modular route takes 0.09x to 4.6x
+# Bareiss's time below 2000 cells (over 1x on most kernels of at most
+# 135 cells and on certify's 24x15 to 32x23 kernels, some of which run
+# through two to four primes) and 0.002x to 0.46x above.
 _MODULAR_CELLS = 2000
 
 
-def _rref_mod(rows, p) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of integer rows mod the prime p.
+def _rref_mod(rows, p) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form of sparse integer rows mod the prime p.
 
-    Returns (pivot rows, pivot columns), one row per pivot, in column
-    order; each pivot row has 1 on its pivot column and 0 on every
-    other pivot column.  Rows not yet pivoted are 0 left of the current
-    column, so each update touches only the columns from there on.
+    Rows are {column: entry} dicts that hold no zero entries: integers
+    in the input, residues in 1..p-1 in the output.  Returns (pivot
+    rows, pivot columns), one row per pivot, in column order; each
+    pivot row has 1 on its pivot column and no entry on any other pivot
+    column.  Rigidity matrices are mostly zeros, so a dense update
+    would spend nearly all its time on them.
+
+    Columns are taken in order.  Among the rows not yet pivoted that
+    are nonzero there, the one with the fewest nonzeros becomes the
+    pivot row (the lowest index on a tie), which keeps the fill-in
+    small (Markowitz 1957); each update touches only the pivot row's
+    nonzeros and deletes the entries that cancel.  The RREF of a matrix
+    over a field is unique, so the output does not depend on which row
+    is picked.
     """
-    rest = [[x % p for x in row] for row in rows]
+    rest = [{j: a % p for j, a in row.items() if a % p} for row in rows]
     red, cols = [], []
-    for col in range(len(rows[0]) if rows else 0):
-        for i, row in enumerate(rest):
-            if row[col]:
-                break
-        else:
+    for col in sorted({j for row in rest for j in row}):
+        hits = [i for i, row in enumerate(rest) if col in row]
+        if not hits:
             continue
-        prow = rest.pop(i)
+        prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
         inv = pow(prow[col], -1, p)
-        tail = [x * inv % p for x in prow[col:]]
-        prow[col:] = tail
-        for group in (rest, red):
-            for row in group:
-                f = row[col]
-                if f:
-                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
-        red.append(prow)
+        scaled = [(j, b * inv % p) for j, b in prow.items()]  # the pivot row with 1 at col
+        for row in rest + red:
+            f = row.get(col)
+            if f:
+                for j, b in scaled:
+                    v = (row.get(j, 0) - f * b) % p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        red.append(dict(scaled))
         cols.append(col)
+        rest = [row for row in rest if row]
         if not rest:
             break
     return red, cols
@@ -261,9 +280,9 @@ def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
     that shape, which is what `_back_substitute` returns.  An unlucky
     prime, or one too small for the coordinates, fails the check.
     """
-    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
     for p in _PRIMES:
-        red, cols = _rref_mod(rows, p)
+        red, cols = _rref_mod(sparse, p)
         pivot_row = dict(zip(cols, red))
         left = []  # (pivot column, its row) for every pivot left of f
         basis = []
@@ -271,7 +290,7 @@ def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
             if f in pivot_row:
                 left.append((f, pivot_row[f]))
                 continue
-            got = _reconstruct([-row[f] % p for _, row in left], p)
+            got = _reconstruct([-row.get(f, 0) % p for _, row in left], p)
             if got is None:
                 break
             vals, den = got
@@ -279,7 +298,7 @@ def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
             x[f] = den
             for (c, _), v in zip(left, vals):
                 x[c] = v
-            if any(sum(a * x[j] for j, a in srow) for srow in sparse):
+            if any(sum(a * x[j] for j, a in srow.items()) for srow in sparse):
                 break
             basis.append([rat(v, den) for v in x])
         else:
@@ -509,14 +528,14 @@ def strict_feasible(basis, strict_coords, weak_coords):
     weak = sorted(set(weak_coords))
     ncoords = len(basis[0]) if basis else 0
     _check_width(basis, ncoords)
-    if not strict:
-        return [R0] * ncoords
     if not basis:
-        return None
-    g = len(basis)
+        return None if strict else []
     for i in strict + weak:
         if not 0 <= i < ncoords:
             raise InvalidArgument(f"coordinate {i} out of range")
+    if not strict:
+        return [R0] * ncoords
+    g = len(basis)
     # a positive scaling of each basis vector scales the LP's columns,
     # which changes neither Bland's pivot sequence nor the witness
     basis = [_integerize(B) for B in basis]

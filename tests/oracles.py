@@ -13,7 +13,9 @@ as the package did before it grew vertex sets one vertex at a time,
 hull facets, facet normals and validation checks by the Fraction
 hyperplane loops that geometry's integer normal-and-side test replaced,
 kernels and solutions by the Fraction back substitutions that
-exactla's one integer readout replaced, and full polynomials by direct
+exactla's one integer readout replaced, RREFs mod a prime by the dense
+row updates that the modular kernel's sparse elimination replaced,
+and full polynomials by direct
 differentiation with a kernel check and a solve on Fraction rows.  Slow and simple on purpose.
 """
 
@@ -561,6 +563,42 @@ def fraction_solve_linear(A, b):
         x[pc] = acc / rat(row[pc])
     return x
 
+
+
+# --- RREF mod a prime on dense rows, as the modular kernel route
+# eliminated before its rows went sparse
+
+
+def dense_rref_mod(rows, p) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows mod the prime p.
+
+    Returns (pivot rows, pivot columns), one row per pivot, in column
+    order; each pivot row has 1 on its pivot column and 0 on every
+    other pivot column.  Rows not yet pivoted are 0 left of the current
+    column, so each update touches only the columns from there on.
+    """
+    rest = [[x % p for x in row] for row in rows]
+    red, cols = [], []
+    for col in range(len(rows[0]) if rows else 0):
+        for i, row in enumerate(rest):
+            if row[col]:
+                break
+        else:
+            continue
+        prow = rest.pop(i)
+        inv = pow(prow[col], -1, p)
+        tail = [x * inv % p for x in prow[col:]]
+        prow[col:] = tail
+        for group in (rest, red):
+            for row in group:
+                f = row[col]
+                if f:
+                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        red.append(prow)
+        cols.append(col)
+        if not rest:
+            break
+    return red, cols
 
 def fraction_expand_squarefree(sv, K, p):
     """expand_squarefree's full polynomial as {flat monomial: Fraction}, or

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    dense_rref_mod,
     fraction_kernel_basis,
     fraction_rref,
     fraction_simplex,
@@ -406,6 +407,39 @@ def test_kernel_basis_lands_on_bareiss_when_every_prime_fails(monkeypatch, prime
     assert modular_kernel(A) is None
 
 
+def sparse_rref_mod(rows, p):
+    """`_rref_mod` on dense integer rows, its pivot rows read back as dense rows."""
+    n = len(rows[0]) if rows else 0
+    red, cols = exactla._rref_mod([{j: a for j, a in enumerate(row) if a} for row in rows], p)
+    # no stored zero, and every entry a residue
+    assert all(0 < a < p for row in red for a in row.values())
+    return [[row.get(j, 0) for j in range(n)] for row in red], cols
+
+
+# mostly zeros; the large entries are 0, -1 and 1 mod 2^61-1, and 2^70
+mostly_zero = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.integers(-6, 6), st.sampled_from([P61, -2 * P61 - 1, P61 + 1, 1 << 70])
+)
+sparse_int_matrix = st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.lists(mostly_zero, min_size=n, max_size=n), max_size=8)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_int_matrix, st.sampled_from([2, 3, 5, P61]), st.randoms(use_true_random=False))
+@example([[3, -6, 0], [9, 0, 3]], 3, random.Random(0))  # every entry a multiple of p
+@example([[1, 2, 0], [2, 4, 0], [0, 1, 5]], P61, random.Random(0))  # row 1 cancels on the first pivot
+@example([[1, 1, 1], [4, 0, 0], [0, 2, 2]], 5, random.Random(1))  # the sparser row 1 pivots column 0
+@example([], 2, random.Random(0))
+def test_sparse_rref_mod_matches_dense_oracle(rows, p, rnd):
+    want = dense_rref_mod(rows, p)
+    assert sparse_rref_mod(rows, p) == want
+    # the RREF is unique, so no order of the rows may change it
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    assert sparse_rref_mod(shuffled, p) == want
+
+
 def _low_rank(seed, m=60, n=45, r=16):
     """A seeded m x n integer matrix of rank at most r, m * n above the cutoff."""
     rng = random.Random(seed)
@@ -460,6 +494,10 @@ def test_strict_feasible_spec_cases():
     assert w is not None and w[0] > 0 and w[1] <= 0
     assert strict_feasible([[1, 1]], [0], [1]) is None
     assert strict_feasible([], [0], []) is None
+    # coordinates are range-checked with or without strict ones
+    for strict in ([0], []):
+        with pytest.raises(InvalidArgument, match="coordinate 9 out of range"):
+            strict_feasible([[1, 2]], strict, [9])
 
 
 @st.composite
