@@ -10,13 +10,15 @@ Side tests run on integer-scaled points (a positive scaling keeps every
 side and every normal's direction): `_hyperplane` gives the primitive
 normal n and offset c of the hyperplane n.x = c through d of them, and
 a point q's side is the sign of n.q - c.
+
+Altitudes come from exact Gram-Schmidt; a zero residual means the base
+face is affinely dependent (`DegenerateFace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import lcm
+from itertools import combinations, islice
 
 from . import exactla
 from .errors import (
@@ -107,7 +109,9 @@ def altitude_vector(F, v: int, p: Embedding):
     """p(v) minus its orthogonal projection onto Aff(p(F)).
 
     Zero iff p(v) lies in that affine hull.  F must be nonempty with
-    affinely independent points.
+    affinely independent points.  Exact Gram-Schmidt on the differences
+    from p(F0), F in sorted order; a zero residual among F's own points
+    raises DegenerateFace.
     """
     Fs = face_key(F)
     if not Fs:
@@ -115,28 +119,26 @@ def altitude_vector(F, v: int, p: Embedding):
     if v in Fs:
         raise InvalidArgument(f"vertex {v} lies in the base face")
     q = p.point(v)
-    base = p.point(Fs[0])
-    if len(Fs) == 1:
-        return exactla.vec_sub(q, base)
-    D = [exactla.vec_sub(p.point(f), base) for f in Fs[1:]]
-    if exactla.rank(D) < len(D):
-        raise DegenerateFace(f"face {Fs} is affinely dependent")
-    gram = [[exactla.dot(a, b) for b in D] for a in D]
-    rhs = [exactla.dot(a, exactla.vec_sub(q, base)) for a in D]
-    sol = exactla.solve_linear(gram, rhs)
-    # Gram of independent vectors is invertible, so sol is unique
-    proj = list(base)
-    for c, a in zip(sol, D):
-        if c:
-            proj = exactla.vec_add(proj, exactla.vec_scale(c, a))
-    return exactla.vec_sub(q, proj)
+    base, *rest = p.points(Fs)
+    ortho = []  # (u, u.u) per difference stripped so far; p(v) comes last
+    for x in [*rest, q]:
+        u = exactla.vec_sub(x, base)
+        for w, ww in ortho:
+            c = exactla.dot(u, w)
+            if c:
+                u = exactla.vec_sub(u, exactla.vec_scale(c / ww, w))
+        if len(ortho) == len(rest):
+            return u
+        if exactla.is_zero_vec(u):
+            raise DegenerateFace(f"face {Fs} is affinely dependent")
+        ortho.append((u, exactla.dot(u, u)))
 
 
 def _integer_points(pts) -> list:
-    """The points scaled by one positive integer, the lcm of every
-    denominator, so each coordinate is an int."""
-    den = lcm(*{x.denominator for pt in pts for x in pt})
-    return [tuple(x.numerator * (den // x.denominator) for x in pt) for pt in pts]
+    """The points scaled by the lcm of every denominator, so each
+    coordinate is an int; `exactla._integerize` rejects bools and floats."""
+    flat = iter(exactla._integerize([x for pt in pts for x in pt]))
+    return [tuple(islice(flat, len(pt))) for pt in pts]
 
 
 def _hyperplane(pts):

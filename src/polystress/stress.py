@@ -218,11 +218,7 @@ def stress_basis(K: SimplicialComplex, p: Embedding, k: int) -> list[StressVecto
     if k == 1:
         verts = K.vertices
         _, kern = exactla.kernel_basis(theta(p, verts))
-        out = []
-        for vec in kern:
-            coeffs = {(v,): x for v, x in zip(verts, vec) if x != 0}
-            out.append(StressVector(degree=1, coeffs=coeffs))
-        return out
+        return [StressVector.from_vector(1, [(v,) for v in verts], vec) for vec in kern]
     R = rigidity_matrix(K, p, k)
     _, kern = exactla.kernel_basis(R)
     return [StressVector.from_vector(k, R.col_labels, vec) for vec in kern]

@@ -13,10 +13,11 @@ as the package did before it grew vertex sets one vertex at a time,
 hull facets, facet normals and validation checks by the Fraction
 hyperplane loops that geometry's integer normal-and-side test replaced,
 kernels and solutions by the Fraction back substitutions that
-exactla's one integer readout replaced, RREFs mod a prime by the dense
-row updates that the modular kernel's sparse elimination replaced,
-and full polynomials by direct
-differentiation with a kernel check and a solve on Fraction rows.  Slow and simple on purpose.
+exactla's one integer readout replaced, altitudes by the rank test and
+Gram system that geometry's exact Gram-Schmidt replaced, RREFs mod a
+prime by the dense row updates that the modular kernel's sparse
+elimination replaced, and full polynomials by direct differentiation
+with a kernel check and a solve on Fraction rows.  Slow and simple on purpose.
 """
 
 from fractions import Fraction
@@ -562,6 +563,31 @@ def fraction_solve_linear(A, b):
                 acc -= rat(row[c]) * x[c]
         x[pc] = acc / rat(row[pc])
     return x
+
+
+# --- altitudes by a rank test and a Gram system, as geometry computed
+# them before exact Gram-Schmidt
+
+
+def gram_altitude(F, v, p):
+    """p(v) minus its orthogonal projection onto Aff(p(F)): the differences
+    D from p(F0) must have full rank, then the Gram system D D^T c = D (p(v) - p(F0))
+    gives the projection's coefficients."""
+    Fs = face_key(F)
+    if not Fs:
+        raise InvalidArgument("altitude needs a nonempty base face")
+    if v in Fs:
+        raise InvalidArgument(f"vertex {v} lies in the base face")
+    q = [Fraction(x) for x in p.point(v)]
+    base, *rest = ([Fraction(x) for x in p.point(f)] for f in Fs)
+    D = [vec_sub(x, base) for x in rest]
+    if gauss_rank(D) < len(D):
+        raise DegenerateFace(f"face {Fs} is affinely dependent")
+    sol = fraction_solve_linear([[dot(a, b) for b in D] for a in D], [dot(a, vec_sub(q, base)) for a in D])
+    proj = list(base)
+    for c, a in zip(sol, D):
+        proj = [x + c * y for x, y in zip(proj, a)]
+    return vec_sub(q, proj)
 
 
 

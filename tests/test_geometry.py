@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import instance
-from oracles import fraction_brute_force_facets, fraction_facet_normal, fraction_validate_checks, gale_even
+from oracles import fraction_brute_force_facets, fraction_facet_normal, fraction_validate_checks, gale_even, gram_altitude
 from polystress import geometry
 from polystress.errors import (
     DegenerateEmbedding,
@@ -81,6 +81,62 @@ def test_altitude_errors():
         altitude_vector({0, 1}, 1, p)
     with pytest.raises(InvalidArgument):
         altitude_vector(set(), 1, p)
+
+
+def altitude_outcome(f, F, v, p):
+    """f's altitude, or the type and message of the package error it raised."""
+    try:
+        return f(F, v, p)
+    except PolystressError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("cyclic", dict(n=8, d=6)), ("cross", dict(d=5)), ("free_sum", dict(i=2, d=5)), ("stacked", dict(d=4, steps=3, seed=3))],
+)
+def test_altitude_matches_gram_oracle_on_corpus(family, params):
+    P = instance(family, **params)
+    for k in (2, 3, 4):
+        for G in P.complex.faces_of_size(k):
+            for v in G:
+                F = tuple(u for u in G if u != v)
+                assert altitude_vector(F, v, P.embedding) == gram_altitude(F, v, P.embedding), (G, v)
+
+
+@st.composite
+def altitude_cases(draw):
+    """A base face of 1 to 4 small-integer points in R^2..R^5 and one more
+    point, labelled in a drawn order.  The last base point may be an
+    integer affine combination of the others (a dependent face), and the
+    extra point a rational one (it lies in the affine hull)."""
+    d = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-3, 3)] * d)
+    base = draw(st.lists(point, min_size=m, max_size=m))
+
+    def combination(coeff):
+        ws = draw(st.lists(coeff, min_size=len(base) - 1, max_size=len(base) - 1))
+        ws.append(1 - sum(ws))
+        return tuple(sum(w * x for w, x in zip(ws, col)) for col in zip(*base))
+
+    if draw(st.booleans()):
+        base[-1] = combination(st.integers(-2, 2))
+    q = combination(st.fractions(-2, 2, max_denominator=3)) if draw(st.booleans()) else draw(point)
+    labels = draw(st.permutations(range(m + 1)))
+    p = Embedding.build(d, dict(zip(labels, base + [q])))
+    return labels[:m], labels[m], p
+
+
+@settings(max_examples=300, deadline=None)
+@given(altitude_cases())
+def test_altitude_matches_gram_oracle(case):
+    F, v, p = case
+    got = altitude_outcome(altitude_vector, F, v, p)
+    assert got == altitude_outcome(gram_altitude, F, v, p)
+    if isinstance(got, list):
+        base = p.point(F[0])
+        assert all(dot(got, vec_sub(p.point(f), base)) == 0 for f in F)
 
 
 def test_separating_functional_octahedron(octahedron):
@@ -206,6 +262,12 @@ def test_caratheodory_reduce_keeps_independent_supports(monkeypatch):
 def test_brute_force_facets_rejects_short_point():
     with pytest.raises(InvalidArgument, match="^point for vertex 3 has length 1, expected 2$"):
         brute_force_facets({0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (5,)})
+
+
+@pytest.mark.parametrize("zero, one", [(0.0, 1.0), (False, True)], ids=["float", "bool"])
+def test_brute_force_facets_rejects_floats_and_bools(zero, one):
+    with pytest.raises(InvalidArgument, match=f"^{zero!r} is a {type(zero).__name__}; use ints or rationals$"):
+        brute_force_facets({0: (zero, zero), 1: (one, zero), 2: (zero, one)})
 
 
 def test_brute_force_facets_octahedron(octahedron):
