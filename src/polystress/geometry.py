@@ -29,16 +29,25 @@ from .errors import (
     NotAVertex,
     NotSimplicial,
 )
-from .rat import R0, R1, rat, sign
+from .rat import R0, R1, Rat, rat, sign
 from .simplicial import SimplicialComplex, face_key, star_link
 
 
 @dataclass(frozen=True)
 class Embedding:
-    """Rational point per vertex label, all in the same dimension."""
+    """Rational point per vertex label, all in the same dimension.
+
+    Every coordinate becomes a `Rat`: ints are converted, and bools,
+    floats and anything else raise InvalidArgument.  Lengths are left
+    to `build` and to `validate`'s vertices_covered check.
+    """
 
     dim: int
     coords: dict
+
+    def __post_init__(self):
+        if any(type(x) is not Rat for pt in self.coords.values() for x in pt):
+            object.__setattr__(self, "coords", {v: tuple(map(rat, pt)) for v, pt in self.coords.items()})
 
     @staticmethod
     def build(dim: int, mapping) -> "Embedding":

@@ -46,21 +46,6 @@ def mono_support(mono: Monomial) -> tuple[int, ...]:
     return tuple(v for v, _ in mono)
 
 
-def mono_mul_var(mono: Monomial, v: int) -> Monomial:
-    out = []
-    placed = False
-    for u, e in mono:
-        if u == v:
-            out.append((u, e + 1))
-            placed = True
-        else:
-            out.append((u, e))
-    if not placed:
-        out.append((v, 1))
-        out.sort()
-    return tuple(out)
-
-
 def mono_div_var(mono: Monomial, v: int) -> Monomial:
     out = []
     for u, e in mono:
@@ -70,13 +55,6 @@ def mono_div_var(mono: Monomial, v: int) -> Monomial:
         else:
             out.append((u, e))
     return tuple(out)
-
-
-def mono_exp(mono: Monomial, v: int) -> int:
-    for u, e in mono:
-        if u == v:
-            return e
-    return 0
 
 
 def poly_directional(poly: dict, weights: dict) -> dict:
@@ -297,11 +275,14 @@ def is_infinitesimally_rigid(K: SimplicialComplex, p: Embedding) -> RigidityRepo
 def expand_squarefree(sv: StressVector, K: SimplicialComplex, p: Embedding) -> StressVector:
     """The unique full polynomial with the given squarefree part.
 
-    Unknowns are the non-squarefree face-supported monomials of
-    degree k; the linear system says every derivative against the
-    theta rows vanishes coefficientwise.  A kernel or an inconsistent
-    system raises ExpansionFailure; both are read off one elimination
-    of the system augmented by its right-hand side.
+    Unknowns are the non-squarefree face-supported monomials of degree
+    k.  Each theta row w gives the identity: the derivative along w of
+    the unknown part plus the known squarefree part vanishes
+    coefficientwise.  `poly_directional` takes every one of those
+    derivatives, one column per unknown and the known part in the last
+    column, so the rows of [A | -b] are keyed by (theta row, monomial).
+    A kernel or an inconsistent system raises ExpansionFailure; both are
+    read off one elimination of that augmented system.
     """
     k = sv.degree
     if k == 1:
@@ -318,55 +299,29 @@ def expand_squarefree(sv: StressVector, K: SimplicialComplex, p: Embedding) -> S
                 if any(e > 1 for e in exps):
                     unknowns.append(tuple(zip(S, exps)))
     unknowns.sort()
-    col = {m: i for i, m in enumerate(unknowns)}
+    known = {mono_from_face(F): c for F, c in sv.coeffs.items()}
+    columns = [*({m: R1} for m in unknowns), known]
 
-    th = theta(p)
-    verts = th.col_labels
-    vcol = {v: i for i, v in enumerate(verts)}
-
-    # rows of [A | -b]: the last column carries the known squarefree terms
-    ncols = len(unknowns) + 1
-    rows = []
-    for size in range(1, k):
-        for S in K.faces_of_size(size):
-            for exps in _compositions(k - 1, size):
-                nu = tuple(zip(S, exps))
-                nu_supp = set(S)
-                # candidate extension vertices: support stays a face
-                cands = [v for v in verts if v in nu_supp or K.has_face(nu_supp | {v})]
-                for i in range(p.dim + 1):
-                    trow = th.entries[i]
-                    row = [R0] * ncols
-                    touched = False
-                    for v in cands:
-                        tv = trow[vcol[v]]
-                        if not tv:
-                            continue
-                        mu = mono_mul_var(nu, v)
-                        factor = rat(mono_exp(nu, v) + 1) * tv
-                        if mu in col:
-                            row[col[mu]] += factor
-                            touched = True
-                        else:
-                            c = sv.coeffs.get(mono_support(mu))
-                            if c:
-                                row[-1] += factor * c
-                                touched = True
-                    if touched:
-                        rows.append(row)
+    th = theta(p, K.vertices)
+    ncols = len(columns)
+    rows: dict = {}
+    for i, trow in enumerate(th.entries):
+        w = dict(zip(th.col_labels, trow))
+        for j, poly in enumerate(columns):
+            for nu, c in poly_directional(poly, w).items():
+                rows.setdefault((i, nu), [R0] * ncols)[j] += c
 
     # kernel vectors come by free column: a first one with last coordinate 0
     # solves A x = 0, else the only one has last coordinate 1 and solves A x = b;
-    # a zero row keeps the width when nothing was touched (no vertices)
-    _, kern = exactla.kernel_basis(rows or [[R0] * ncols])
+    # a zero row keeps the width when there are no rows (no vertices)
+    _, kern = exactla.kernel_basis(list(rows.values()) or [[R0] * ncols])
     if kern and kern[0][-1] == 0:
         raise ExpansionFailure("full polynomial is not unique for this support")
     if not kern:
         raise ExpansionFailure("squarefree part admits no stress completion")
-    sol = kern[0][:-1]
 
-    full = {mono_from_face(F): c for F, c in sv.coeffs.items()}
-    for m, x in zip(unknowns, sol):
+    full = dict(known)
+    for m, x in zip(unknowns, kern[0]):
         if x != 0:
             full[m] = x
     return StressVector(degree=k, coeffs=dict(sv.coeffs), full=full)
@@ -422,24 +377,20 @@ def power_stress(phi: dict, k: int, K: SimplicialComplex, p: Embedding) -> Stres
     """The k-th power of an affine 1-stress, as a full k-stress.
 
     phi maps vertices to coefficients of a linear form annihilated by
-    the theta rows.  Every min(k, |supp|)-subset of the support must
-    be a face, otherwise the power leaves the face ring.
+    the theta rows: its derivative along every row is zero.  Every
+    min(k, |supp|)-subset of the support must be a face, otherwise the
+    power leaves the face ring.  The power's derivatives along the same
+    rows are checked to vanish, which certifies the expansion.
     """
     if k < 1:
         raise InvalidArgument("power must be >= 1")
     weights = {v: rat(c) for v, c in phi.items() if c != 0}
     if not weights:
         raise InvalidArgument("zero linear form")
-    d = p.dim
-    total = [R0] * (d + 1)
-    for v, c in weights.items():
-        pt = p.point(v)
-        for i in range(d):
-            total[i] += c * pt[i]
-        total[d] += c
-    if any(x != 0 for x in total):
-        raise InvalidArgument("coefficients are not an affine dependence")
     supp = sorted(weights)
+    rows = [dict(zip(supp, r)) for r in theta(p, supp).entries]
+    if any(poly_directional({((v, 1),): c for v, c in weights.items()}, w) for w in rows):
+        raise InvalidArgument("coefficients are not an affine dependence")
     m = min(k, len(supp))
     for S in combinations(supp, m):
         if not K.has_face(S):
@@ -454,9 +405,6 @@ def power_stress(phi: dict, k: int, K: SimplicialComplex, p: Embedding) -> Stres
             coeff = coeff / rat(factorial(e)) * weights[v] ** e
         if coeff != 0:
             full[tuple(sorted(counts.items()))] = coeff
-    out = StressVector.from_full(k, full)
-    for i in range(d + 1):
-        wrow = {v: (p.point(v)[i] if i < d else R1) for v in supp}
-        if poly_directional(full, wrow):
-            raise ExpansionFailure("power is not a stress; embedding inconsistent")
-    return out
+    if any(poly_directional(full, w) for w in rows):
+        raise ExpansionFailure("power is not a stress; embedding inconsistent")
+    return StressVector.from_full(k, full)

@@ -17,7 +17,9 @@ exactla's one integer readout replaced, altitudes by the rank test and
 Gram system that geometry's exact Gram-Schmidt replaced, RREFs mod a
 prime by the dense row updates that the modular kernel's sparse
 elimination replaced, and full polynomials by direct differentiation
-with a kernel check and a solve on Fraction rows.  Slow and simple on purpose.
+with a kernel check and a solve on Fraction rows, and by the pairwise
+row assembly that poly_directional over theta's rows replaced.  Slow
+and simple on purpose.
 """
 
 from fractions import Fraction
@@ -25,11 +27,12 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
 from polystress.detect import _feasible_certificate, _stress_space
-from polystress.errors import CompletionFailure, DegenerateEmbedding, DegenerateFace, InvalidArgument, NotSimplicial
+from polystress.errors import CompletionFailure, DegenerateEmbedding, DegenerateFace, ExpansionFailure, InvalidArgument, NotSimplicial
 from polystress.exactla import RatMatrix, dot, kernel_basis, vec_sub
 from polystress.geometry import affine_rank
 from polystress.rat import R0, R1, rat
 from polystress.simplicial import build_complex, face_key
+from polystress.stress import StressVector, _compositions, mono_from_face, mono_support, theta
 
 
 # --- rows read entry by entry into Fraction and integerized, as exactla
@@ -656,3 +659,100 @@ def fraction_expand_squarefree(sv, K, p):
     full = dict(known)
     full.update((m, c) for m, c in zip(unknowns, x) if c)
     return full
+
+
+# --- expand_squarefree's pairwise assembly, as it stood before every
+# derivative went through poly_directional over theta's rows: each row
+# pairs a degree-(k-1) face-supported monomial nu with a theta row and
+# multiplies nu by each vertex whose support stays a face
+
+
+def mono_mul_var(mono, v):
+    out = []
+    placed = False
+    for u, e in mono:
+        if u == v:
+            out.append((u, e + 1))
+            placed = True
+        else:
+            out.append((u, e))
+    if not placed:
+        out.append((v, 1))
+        out.sort()
+    return tuple(out)
+
+
+def mono_exp(mono, v):
+    for u, e in mono:
+        if u == v:
+            return e
+    return 0
+
+
+def pairwise_expand_squarefree(sv, K, p):
+    """expand_squarefree on rows built pair by pair; same StressVector,
+    same ExpansionFailure messages, one kernel_basis call."""
+    k = sv.degree
+    if k == 1:
+        full = {((v, 1),): c for (v,), c in sv.coeffs.items()}
+        return StressVector(degree=1, coeffs=dict(sv.coeffs), full=full)
+    for F in sv.support():
+        if not K.has_face(F):
+            raise ExpansionFailure(f"support face {F} is not in the complex")
+
+    unknowns = []
+    for size in range(1, k):
+        for S in K.faces_of_size(size):
+            for exps in _compositions(k, size):
+                if any(e > 1 for e in exps):
+                    unknowns.append(tuple(zip(S, exps)))
+    unknowns.sort()
+    col = {m: i for i, m in enumerate(unknowns)}
+
+    th = theta(p)
+    verts = th.col_labels
+    vcol = {v: i for i, v in enumerate(verts)}
+
+    # rows of [A | -b]: the last column carries the known squarefree terms
+    ncols = len(unknowns) + 1
+    rows = []
+    for size in range(1, k):
+        for S in K.faces_of_size(size):
+            for exps in _compositions(k - 1, size):
+                nu = tuple(zip(S, exps))
+                nu_supp = set(S)
+                # candidate extension vertices: support stays a face
+                cands = [v for v in verts if v in nu_supp or K.has_face(nu_supp | {v})]
+                for i in range(p.dim + 1):
+                    trow = th.entries[i]
+                    row = [R0] * ncols
+                    touched = False
+                    for v in cands:
+                        tv = trow[vcol[v]]
+                        if not tv:
+                            continue
+                        mu = mono_mul_var(nu, v)
+                        factor = rat(mono_exp(nu, v) + 1) * tv
+                        if mu in col:
+                            row[col[mu]] += factor
+                            touched = True
+                        else:
+                            c = sv.coeffs.get(mono_support(mu))
+                            if c:
+                                row[-1] += factor * c
+                                touched = True
+                    if touched:
+                        rows.append(row)
+
+    _, kern = kernel_basis(rows or [[R0] * ncols])
+    if kern and kern[0][-1] == 0:
+        raise ExpansionFailure("full polynomial is not unique for this support")
+    if not kern:
+        raise ExpansionFailure("squarefree part admits no stress completion")
+    sol = kern[0][:-1]
+
+    full = {mono_from_face(F): c for F, c in sv.coeffs.items()}
+    for m, x in zip(unknowns, sol):
+        if x != 0:
+            full[m] = x
+    return StressVector(degree=k, coeffs=dict(sv.coeffs), full=full)

@@ -353,6 +353,22 @@ def test_embedding_build_rejects_float_and_bool(bad):
     assert Embedding.build(2, {0: (0, Rat(1, 2))}).point(0) == (0, Rat(1, 2))
 
 
+@pytest.mark.parametrize("convert", [float, bool])
+def test_embedding_built_directly_rejects_float_and_bool(convert):
+    coords = instance("cyclic", n=6, d=4).embedding.coords
+    with pytest.raises(InvalidArgument, match=f"is a {convert.__name__}; use ints or rationals"):
+        Embedding(dim=4, coords={v: tuple(convert(x) for x in pt) for v, pt in coords.items()})
+
+
+def test_embedding_built_directly_keeps_rationals_and_lengths():
+    p = instance("cyclic", n=6, d=4).embedding
+    q = Embedding(dim=4, coords={v: tuple(int(x) for x in pt) for v, pt in p.coords.items()})
+    assert q == p and all(type(x) is Rat for pt in q.coords.values() for x in pt)
+    assert altitude_vector((1, 2), 3, q) == altitude_vector((1, 2), 3, p)
+    # a short point is left to validate's vertices_covered check
+    assert Embedding(dim=3, coords={0: (1, 2)}).point(0) == (1, 2)
+
+
 @pytest.mark.parametrize("bad", ["1/2", Decimal("0.1"), " 3 "])
 def test_embedding_build_rejects_strings_and_decimals(bad):
     # documents are parsed by parse_rat; library callers pass numbers only

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import instance
 from oracles import (
+    diff_var,
     f_vector,
     fraction_expand_squarefree,
     g_vector,
     gauss_rank,
     is_affine_stress,
+    pairwise_expand_squarefree,
     poly_from_full,
     supported_on,
 )
@@ -20,6 +22,7 @@ from polystress.errors import (
     DegenerateFace,
     ExpansionFailure,
     InvalidArgument,
+    NotAVertex,
     NotNeighborlyEnough,
 )
 from polystress.exactla import kernel_basis, rref
@@ -33,6 +36,7 @@ from polystress.stress import (
     cone_lift,
     expand_squarefree,
     is_infinitesimally_rigid,
+    poly_directional,
     power_stress,
     rigidity_matrix,
     stress_basis,
@@ -52,6 +56,38 @@ def linear_form(sv):
 
 def octahedron_plus_diagonal(octahedron):
     return build_complex(list(skeleton(octahedron.complex, 1).facets) + [(0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# directional derivatives
+
+_monomials = st.dictionaries(st.integers(0, 4), st.integers(1, 4), min_size=1, max_size=4).filter(
+    lambda m: sum(m.values()) <= 4
+)
+
+
+@given(
+    poly=st.dictionaries(_monomials.map(lambda m: tuple(sorted(m.items()))), st.integers(-3, 3).map(rat), max_size=6),
+    weights=st.dictionaries(st.integers(0, 5), st.integers(-2, 2).map(rat), max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_poly_directional_matches_diff_var(poly, weights):
+    # weights may be zero or leave a vertex out (vertex 5 appears in no monomial)
+    flat = poly_from_full(poly)
+    want: dict = {}
+    for v, w in weights.items():
+        for m, c in diff_var(flat, v).items():
+            want[m] = want.get(m, 0) + w * c
+    assert poly_from_full(poly_directional(poly, weights)) == {m: c for m, c in want.items() if c}
+
+
+def test_poly_directional_drops_cancelled_terms():
+    # (d/dx0 + d/dx1)(x0^2 - 2 x0 x1 + x1 x2) = 2 x0 - 2 x1 - 2 x0 + x2: no x0 key
+    poly = {((0, 2),): R1, ((0, 1), (1, 1)): rat(-2), ((1, 1), (2, 1)): R1}
+    want = {((1, 1),): rat(-2), ((2, 1),): R1}
+    assert poly_directional(poly, {0: R1, 1: R1}) == want
+    assert poly_directional(poly, {0: R1, 1: R1, 2: R0}) == want
+    assert poly_directional(poly, {3: R1}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +362,9 @@ def test_expand_passes_direct_differentiation():
 def test_expand_rejects_non_stress(octahedron):
     K, p = octahedron.complex, octahedron.embedding
     sv = StressVector(degree=2, coeffs={(0, 2): R1, (0, 3): R1})
-    with pytest.raises(ExpansionFailure, match="^squarefree part admits no stress completion$"):
-        expand_squarefree(sv, K, p)
+    for expand in (expand_squarefree, pairwise_expand_squarefree):
+        with pytest.raises(ExpansionFailure, match="^squarefree part admits no stress completion$"):
+            expand(sv, K, p)
     assert fraction_expand_squarefree(sv, K, p) == "squarefree part admits no stress completion"
     with pytest.raises(ExpansionFailure, match=r"^support face \(0, 1\) is not in the complex$"):
         expand_squarefree(StressVector(degree=2, coeffs={(0, 1): R1}), K, p)
@@ -339,9 +376,18 @@ def test_expand_reports_a_kernel_before_inconsistency():
     p = emb([(-1,), (-1,), (0,), (1,)])
     for coeffs in ({(0, 1, 3): rat(2)}, {}):
         sv = StressVector(degree=3, coeffs=coeffs)
-        with pytest.raises(ExpansionFailure, match="^full polynomial is not unique for this support$"):
-            expand_squarefree(sv, K, p)
+        for expand in (expand_squarefree, pairwise_expand_squarefree):
+            with pytest.raises(ExpansionFailure, match="^full polynomial is not unique for this support$"):
+                expand(sv, K, p)
         assert fraction_expand_squarefree(sv, K, p) == "full polynomial is not unique for this support"
+
+
+def test_expand_rejects_a_vertex_without_coordinates():
+    P = instance("cyclic", n=6, d=4)
+    (sv,) = stress_basis(P.complex, P.embedding, 2)
+    q = Embedding(dim=4, coords={v: pt for v, pt in P.embedding.coords.items() if v != 6})
+    with pytest.raises(NotAVertex, match="^no coordinates for vertex 6$"):
+        expand_squarefree(sv, P.complex, q)
 
 
 def test_expand_on_complex_without_vertices():
@@ -363,10 +409,14 @@ def test_expand_eliminates_once(monkeypatch):
 
 
 def test_expand_matches_fraction_solve_on_corpus(full_corpus):
-    for P in full_corpus:
-        for sv in stress_basis(P.complex, P.embedding, 2):
-            e = expand_squarefree(sv, P.complex, P.embedding)
-            assert poly_from_full(e.full) == fraction_expand_squarefree(sv, P.complex, P.embedding), P.meta
+    cases = [(P, 2) for P in full_corpus]
+    cases += [(instance("cyclic", n=8, d=6), 3), (instance("free_sum", i=3, d=6), 3)]
+    for P, k in cases:
+        K, p = P.complex, P.embedding
+        for sv in stress_basis(K, p, k):
+            e = expand_squarefree(sv, K, p)
+            assert e == pairwise_expand_squarefree(sv, K, p), (P.meta, k)
+            assert poly_from_full(e.full) == fraction_expand_squarefree(sv, K, p), (P.meta, k)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +529,11 @@ def test_power_stress_rejects(octahedron):
         power_stress({0: R1, 1: R1}, 0, octahedron.complex, octahedron.embedding)
     with pytest.raises(InvalidArgument):
         power_stress({}, 2, octahedron.complex, octahedron.embedding)
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="^coefficients are not an affine dependence$"):
         power_stress({0: R1}, 2, octahedron.complex, octahedron.embedding)
+    # a vertex without coordinates is reported before the dependence test
+    with pytest.raises(NotAVertex, match="^no coordinates for vertex 9$"):
+        power_stress({0: R1, 9: R1}, 2, octahedron.complex, octahedron.embedding)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 `bench/run.py --trace 1` wraps every function named in
 `bench/tracing.py`'s `TRACED` table and fails when one is missing, so a
 deleted or renamed library function would otherwise show up only in a
-traced benchmark run.  The table is read from the file; no wrapper is
-installed.
+traced benchmark run.  Likewise each `EXTRAS` hook reads its function's
+arguments and output, so it is run here on one small real call: a
+changed argument order or return shape fails here too.  The tables are
+read from the file; no wrapper is installed.
 """
 
 import importlib
@@ -12,6 +14,10 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import instance
+from polystress.simplicial import skeleton
+from polystress.stress import stress_basis
 
 _spec = importlib.util.spec_from_file_location("bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
 tracing = importlib.util.module_from_spec(_spec)
@@ -32,3 +38,43 @@ def test_reach_gates_name_traced_functions():
     traced = set(tracing.traced_names())
     gated = {name for names in tracing.MUST_HIT.values() for name in names} | set(tracing.LP) | set(tracing.EXTRAS)
     assert sorted(gated - traced) == []
+
+
+def _octahedron():
+    P = instance("cross", d=3)
+    return P.complex, P.embedding
+
+
+def _sweep_args():
+    P = instance("cyclic", n=6, d=4)
+    skel = skeleton(P.complex, 1)
+    return (skel, stress_basis(skel, P.embedding, 2), 4, 2), {}
+
+
+# traced name -> the (args, kwargs) of one small call of it
+SAMPLE_CALLS = {
+    "exactla.kernel_basis": lambda: (([[1, 2, 3], [2, 4, 7]],), {}),
+    "exactla.rank": lambda: (([[1, 2], [2, 4], [0, 1]],), {}),
+    "exactla.simplex": lambda: (([1, 1], [[1, 0], [0, 1]], [1, 1]), {"A_eq": [[1, -1]], "b_eq": [0]}),
+    "exactla.strict_feasible": lambda: (([[1, -1, 0], [0, 1, 1]], [0, 2], [1]), {}),
+    "stress.rigidity_matrix": lambda: ((*_octahedron(), 2), {}),
+    "stress.stress_basis": lambda: ((*_octahedron(), 1), {}),
+    "geometry.brute_force_facets": lambda: ((dict(instance("cross", d=3).embedding.coords),), {}),
+    "detect.certificate_sweep": _sweep_args,
+}
+
+
+def test_every_extras_hook_has_a_sample_call():
+    assert sorted(SAMPLE_CALLS) == sorted(tracing.EXTRAS)
+
+
+@pytest.mark.parametrize("name", sorted(tracing.EXTRAS))
+def test_extras_hook_reads_a_real_call(name):
+    hook, keys = tracing.EXTRAS[name]
+    mod_name, fn_name = name.split(".")
+    fn = getattr(importlib.import_module(f"polystress.{mod_name}"), fn_name)
+    args, kwargs = SAMPLE_CALLS[name]()
+    st = tracing.Stat()
+    hook(st, args, kwargs, fn(*args, **kwargs))
+    assert sorted(st.extra) == sorted(keys)
+    assert all(type(x) in (int, float) and x >= 0 for x in st.extra.values())
