@@ -9,7 +9,11 @@ supporting-hyperplane and hull checks and flips the instance's
 Side tests run on integer-scaled points (a positive scaling keeps every
 side and every normal's direction): `_hyperplane` gives the primitive
 normal n and offset c of the hyperplane n.x = c through d of them, and
-a point q's side is the sign of n.q - c.
+a point q's side is the sign of n.q - c.  That serves each facet of a
+complex and each normal the module hands out.  The exhaustive hull
+test, `brute_force_facets`, builds no hyperplane: a side is the sign of
+a determinant of difference vectors, and the d-subsets sharing a prefix
+share one fraction-free elimination of those vectors.
 
 Altitudes come from exact Gram-Schmidt; a zero residual means the base
 face is affinely dependent (`DegenerateFace`).
@@ -18,7 +22,7 @@ face is affinely dependent (`DegenerateFace`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import islice
 
 from . import exactla
 from .errors import (
@@ -327,10 +331,29 @@ def caratheodory_reduce(points: dict, mu: dict):
 def brute_force_facets(points: dict) -> frozenset:
     """Facets of conv(points) by exhaustive supporting-hyperplane tests.
 
-    Every d-subset spanning a hyperplane with all remaining points
+    Every d-subset S spanning a hyperplane with all remaining points
     strictly on one side is a facet.  A supporting hyperplane that
     picks up an extra point means the hull is not simplicial (or the
-    input is degenerate) and raises.
+    input is degenerate) and raises NotSimplicial, naming the first
+    such S in lexicographic order.
+
+    No hyperplane is built.  The side of a point x against
+    S = (s0, ..., s_{d-1}) is the sign of
+    det[p(s) - p(s0) for s in S[1:]; p(x) - p(s0)], up to one flip for
+    all x: the hyperplane's normal is the row of cofactors of that
+    determinant's last row.  Subsets run depth-first, in lexicographic
+    order, over the integer difference vectors from each base point s0.
+    Choosing a point u pivots every vector outside the prefix on u's
+    first nonzero column with `exactla._pivot_step` and drops that
+    column, now zero in all of them, so the subsets through a prefix
+    share its elimination.  A zero u means the prefix is affinely
+    dependent, and so is every subset through it.  The last point u
+    meets vectors of two entries, and sigma(x) = u[0]*x[1] - x[0]*u[1].
+    By Sylvester's identity (Bareiss 1968) that 2x2 minor of the
+    eliminated vectors is the previous pivot, nonzero, times the
+    determinant above with its columns in one fixed order, for every x
+    alike, so the signs of sigma are the sides, exactly.
+    For d = 1, sigma(x) is x's single coordinate.
     """
     labels = sorted(points)
     if not labels:
@@ -339,20 +362,53 @@ def brute_force_facets(points: dict) -> frozenset:
     for v in labels:
         if len(points[v]) != d:
             raise InvalidArgument(f"point for vertex {v} has length {len(points[v])}, expected {d}")
-    pts = dict(zip(labels, _integer_points([points[v] for v in labels])))
-    if affine_rank(pts.values()) != d:
+    if d == 0:
+        raise InvalidArgument("points have no coordinates")
+    pts = _integer_points([points[v] for v in labels])
+    if affine_rank(pts) != d:
         raise DegenerateEmbedding("points do not span the ambient space")
     facets = set()
-    for S in combinations(labels, d):
-        h = _hyperplane([pts[s] for s in S])
-        if h is None:
-            continue  # affinely dependent d-subset, cannot be a simplex facet
-        sides = {_side(h, pts[w]) for w in labels if w not in S}
-        if {1, -1} <= sides:
-            continue
-        if 0 in sides:
-            raise NotSimplicial(f"supporting hyperplane of {S} contains an extra point")
-        facets.add(frozenset(S))
+
+    def classify(S, sigmas):
+        pos = neg = on = False
+        for s in sigmas:
+            if s > 0:
+                pos = True
+            elif s < 0:
+                neg = True
+            else:
+                on = True
+            if pos and neg:
+                return
+        if on:
+            raise NotSimplicial(f"supporting hyperplane of {tuple(labels[i] for i in S)} contains an extra point")
+        facets.add(frozenset(labels[i] for i in S))
+
+    def walk(S, rows, prev):
+        # rows: (index, vector) for every point outside S, eliminated on the
+        # pivots of S[1:], each pivot's column dropped once it is all zeros
+        for i, u in rows:
+            if i < S[-1]:
+                continue
+            c = next((j for j, x in enumerate(u) if x), None)
+            if c is None:
+                continue  # p(u) lies in the affine hull of the prefix
+            if len(u) == 2:
+                p, q = u
+                classify(S + (i,), (p * v[1] - v[0] * q for j, v in rows if j != i))
+                continue
+            nxt = [(j, list(v)) for j, v in rows if j != i]
+            exactla._pivot_step([v for _, v in nxt], u, c, prev)
+            for _, v in nxt:
+                del v[c]
+            walk(S + (i,), nxt, u[c])
+
+    for b, base in enumerate(pts):
+        rows = [(i, [a - o for a, o in zip(q, base)]) for i, q in enumerate(pts) if i != b]
+        if d == 1:
+            classify((b,), (v[0] for _, v in rows))
+        else:
+            walk((b,), rows, 1)
     return frozenset(facets)
 
 

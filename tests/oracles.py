@@ -12,6 +12,8 @@ sweeps by scanning facets and enumerating subsets of the vertex set,
 as the package did before it grew vertex sets one vertex at a time,
 hull facets, facet normals and validation checks by the Fraction
 hyperplane loops that geometry's integer normal-and-side test replaced,
+hull facets also by that test's one kernel per d-subset, which the
+hull's shared fraction-free elimination replaced,
 kernels and solutions by the Fraction back substitutions that
 exactla's one integer readout replaced, altitudes by the rank test and
 Gram system that geometry's exact Gram-Schmidt replaced, RREFs mod a
@@ -29,7 +31,7 @@ from math import comb, gcd, lcm
 from polystress.detect import _feasible_certificate, _stress_space
 from polystress.errors import CompletionFailure, DegenerateEmbedding, DegenerateFace, ExpansionFailure, InvalidArgument, NotSimplicial
 from polystress.exactla import RatMatrix, dot, kernel_basis, vec_sub
-from polystress.geometry import affine_rank
+from polystress.geometry import _hyperplane, _integer_points, _side, affine_rank
 from polystress.rat import R0, R1, rat
 from polystress.simplicial import build_complex, face_key
 from polystress.stress import StressVector, _compositions, mono_from_face, mono_support, theta
@@ -440,6 +442,38 @@ def fraction_brute_force_facets(points):
         if any(v > 0 for v in vals) and any(v < 0 for v in vals):
             continue
         if any(v == 0 for v in vals):
+            raise NotSimplicial(f"supporting hyperplane of {S} contains an extra point")
+        facets.add(frozenset(S))
+    return frozenset(facets)
+
+
+def kernel_brute_force_facets(points: dict) -> frozenset:
+    """Facets of conv(points) by exhaustive supporting-hyperplane tests.
+
+    Every d-subset spanning a hyperplane with all remaining points
+    strictly on one side is a facet.  A supporting hyperplane that
+    picks up an extra point means the hull is not simplicial (or the
+    input is degenerate) and raises.
+    """
+    labels = sorted(points)
+    if not labels:
+        raise InvalidArgument("no points")
+    d = len(points[labels[0]])
+    for v in labels:
+        if len(points[v]) != d:
+            raise InvalidArgument(f"point for vertex {v} has length {len(points[v])}, expected {d}")
+    pts = dict(zip(labels, _integer_points([points[v] for v in labels])))
+    if affine_rank(pts.values()) != d:
+        raise DegenerateEmbedding("points do not span the ambient space")
+    facets = set()
+    for S in combinations(labels, d):
+        h = _hyperplane([pts[s] for s in S])
+        if h is None:
+            continue  # affinely dependent d-subset, cannot be a simplex facet
+        sides = {_side(h, pts[w]) for w in labels if w not in S}
+        if {1, -1} <= sides:
+            continue
+        if 0 in sides:
             raise NotSimplicial(f"supporting hyperplane of {S} contains an extra point")
         facets.add(frozenset(S))
     return frozenset(facets)

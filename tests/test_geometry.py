@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from itertools import combinations
 
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import instance
-from oracles import fraction_brute_force_facets, fraction_facet_normal, fraction_validate_checks, gale_even, gram_altitude
+from oracles import (
+    fraction_brute_force_facets,
+    fraction_facet_normal,
+    fraction_validate_checks,
+    gale_even,
+    gram_altitude,
+    kernel_brute_force_facets,
+)
 from polystress import geometry
 from polystress.errors import (
     DegenerateEmbedding,
@@ -308,6 +316,13 @@ def test_brute_force_facets_degenerate():
         brute_force_facets({0: (0, 0), 1: (1, 1), 2: (2, 2)})
 
 
+def test_brute_force_facets_rejects_zero_dimensional_points():
+    with pytest.raises(InvalidArgument, match="^points have no coordinates$"):
+        brute_force_facets({0: ()})
+    with pytest.raises(InvalidArgument, match="^points have no coordinates$"):
+        brute_force_facets({0: (), 1: ()})
+
+
 def test_validate_corpus_instance():
     P = instance("cyclic", n=7, d=4)
     report = validate(P)
@@ -377,11 +392,11 @@ def test_embedding_build_rejects_strings_and_decimals(bad):
 
 
 def outcome(f, *args):
-    """f's result, or the type of the package error it raised."""
+    """f's result, or the type and message of the package error it raised."""
     try:
         return f(*args)
     except PolystressError as e:
-        return type(e)
+        return type(e), str(e)
 
 
 @st.composite
@@ -401,7 +416,40 @@ def point_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(point_sets())
 def test_brute_force_facets_matches_fraction_oracle(points):
-    assert outcome(brute_force_facets, points) == outcome(fraction_brute_force_facets, points)
+    got = outcome(brute_force_facets, points)
+    assert got == outcome(fraction_brute_force_facets, points)
+    assert got == outcome(kernel_brute_force_facets, points)
+
+
+def integer_point_sets(rng, count):
+    """Seeded integer point sets in R^1..R^5 with d + 1 to d + 5 points:
+    some pushed onto the hyperplane x_d = x_1 (all of them: the set does
+    not span), maybe one repeated point and maybe one interior point (a
+    midpoint; coordinates are doubled first so it stays integral)."""
+    for _ in range(count):
+        d = rng.randint(1, 5)
+        pts = [[2 * rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(d + 1, d + 5))]
+        for p in pts[: rng.choice([0, 0, rng.randint(0, len(pts))])]:
+            p[-1] = p[0]
+        extra = []
+        if rng.random() < 0.3:
+            extra.append(list(rng.choice(pts)))
+        if rng.random() < 0.3:
+            a, b = rng.sample(pts, 2)
+            extra.append([(x + y) // 2 for x, y in zip(a, b)])
+        labels = rng.sample(range(3 * len(pts) + 3), len(pts) + len(extra))
+        yield dict(zip(labels, map(tuple, pts + extra)))
+
+
+def test_brute_force_facets_matches_oracles_on_integer_points():
+    seen = set()
+    for points in integer_point_sets(random.Random(13), 300):
+        got = outcome(brute_force_facets, points)
+        assert got == outcome(kernel_brute_force_facets, points), points
+        assert got == outcome(fraction_brute_force_facets, points), points
+        seen.add(got[0] if isinstance(got, tuple) else frozenset)
+    # every outcome occurs: hulls, non-simplicial hulls and non-spanning sets
+    assert seen == {frozenset, NotSimplicial, DegenerateEmbedding}
 
 
 @settings(max_examples=200, deadline=None)
@@ -415,9 +463,9 @@ def test_facet_normal_matches_fraction_oracle(points, data):
     want = outcome(fraction_facet_normal, S, p, witness)
     if d == 1:
         # the oracle finds no normal through a single point; it is [1] oriented
-        assert want is DegenerateFace
+        assert want[0] is DegenerateFace
         side = sign(Rat(witness[0]) - p.point(S[0])[0])
-        want = [side] if side else DegenerateFace
+        want = [side] if side else (DegenerateFace, f"witness point lies on the hyperplane of {tuple(S)}")
     assert got == want
 
 

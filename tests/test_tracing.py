@@ -5,18 +5,25 @@
 deleted or renamed library function would otherwise show up only in a
 traced benchmark run.  Likewise each `EXTRAS` hook reads its function's
 arguments and output, so it is run here on one small real call: a
-changed argument order or return shape fails here too.  The tables are
-read from the file; no wrapper is installed.
+changed argument order or return shape fails here too.  Last, the
+reach gates are replayed: with `tracing.Tracer` installed, small copies
+of each workload's op kinds must reach every function that workload's
+`MUST_HIT` entry names and, on the LP-free workloads, no LP, as a
+traced benchmark run requires.  Those ops call through module
+attributes, which the tracer wraps, not through names imported here.
 """
 
 import importlib
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from conftest import instance
-from polystress.simplicial import skeleton
+from polystress import cli, corpus, detect, reconstruct, stress
+from polystress.simplicial import missing_faces, skeleton
 from polystress.stress import stress_basis
 
 _spec = importlib.util.spec_from_file_location("bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
@@ -78,3 +85,46 @@ def test_extras_hook_reads_a_real_call(name):
     hook(st, args, kwargs, fn(*args, **kwargs))
     assert sorted(st.extra) == sorted(keys)
     assert all(type(x) in (int, float) and x >= 0 for x in st.extra.values())
+
+
+def _load_ops(tmp_path):
+    paths = {}
+    for name, P in (("cyclic-8-4", instance("cyclic", n=8, d=4)), ("cross-4", instance("cross", d=4))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(corpus.encode(P))
+    for argv, code in (
+        (["validate", str(paths["cyclic-8-4"]), "--json"], 0),
+        (["diff", str(paths["cyclic-8-4"]), str(paths["cyclic-8-4"]), "--json"], 0),
+        (["diff", str(paths["cyclic-8-4"]), str(paths["cross-4"]), "--json"], 1),
+    ):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == code
+
+
+def _stress_ops(tmp_path):
+    P = instance("cyclic", n=7, d=4)
+    assert stress.stress_basis(skeleton(P.complex, 1), P.embedding, 2)
+    assert stress.is_infinitesimally_rigid(P.complex, P.embedding).rigid
+
+
+def _certify_ops(tmp_path):
+    P = instance("cyclic", n=7, d=4)
+    graph = skeleton(P.complex, 1)
+    rep = reconstruct.run_pipeline(graph, stress.stress_basis(graph, P.embedding, 2), 4, 2, truth=P.complex)
+    assert rep.status == "full" and rep.diff.equal
+    detect.neighborly_certificate(P, missing_faces(P.complex, 7)[0], 2)
+    S = instance("stacked", d=4, steps=2, seed=0)
+    a, b = missing_faces(S.complex, 2)[0]
+    detect.missing_edge_stress(S, a, b)
+    assert detect.probe_missing_faces(instance("cyclic", n=7, d=5), 3)
+
+
+@pytest.mark.parametrize("workload, ops", [("load", _load_ops), ("stress", _stress_ops), ("certify", _certify_ops)])
+def test_workload_ops_pass_the_reach_gates(workload, ops, tmp_path):
+    tracer = tracing.Tracer()
+    try:
+        assert tracer.install() == []
+        ops(tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracing.reach_errors(workload, tracing.totals(tracer.tables)) == []
