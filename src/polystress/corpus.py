@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations
 
 from . import exactla
 from .errors import InvalidArgument, ParseError
@@ -78,15 +77,20 @@ def _cross(d: int) -> PolytopeInstance:
     return _instance(facets, d, coords, "cross", {"d": d})
 
 
-def _gale_even(S: tuple[int, ...], n: int) -> bool:
-    # every two non-members must straddle an even count of members
-    members = set(S)
-    outside = [t for t in range(1, n + 1) if t not in members]
-    for a, b in zip(outside, outside[1:]):
-        between = sum(1 for s in S if a < s < b)
-        if between % 2:
-            return False
-    return True
+def _gale_facets(n: int, d: int, S=(), closable=True):
+    """Gale-even d-subsets of 1..n (Gale 1963) in lexicographic order,
+    grown left to right from S: a non-member may follow the run of members
+    ending at S[-1] only if `closable` (even, or starting at 1)."""
+    if len(S) == d:
+        if closable or S[-1] == n:  # a run ending at n is never closed
+            yield S
+        return
+    last = S[-1] if S else 0
+    for t in range(last + 1, n - d + len(S) + 2):
+        if t == last + 1:
+            yield from _gale_facets(n, d, S + (t,), not closable or t == len(S) + 1)
+        elif closable:
+            yield from _gale_facets(n, d, S + (t,), False)
 
 
 def _cyclic(n: int, d: int) -> PolytopeInstance:
@@ -95,7 +99,7 @@ def _cyclic(n: int, d: int) -> PolytopeInstance:
     if n <= d:
         raise InvalidArgument("cyclic needs n >= d + 1")
     coords = {t: tuple(rat(t**e) for e in range(1, d + 1)) for t in range(1, n + 1)}
-    facets = [set(S) for S in combinations(range(1, n + 1), d) if _gale_even(S, n)]
+    facets = [set(S) for S in _gale_facets(n, d)]
     return _instance(facets, d, coords, "cyclic", {"n": n, "d": d})
 
 

@@ -7,7 +7,9 @@ least one strictly negative.  Such a triple proves M is not a face.
 The searches here find certificates by exact LP over a stress basis;
 the constructive builders produce explicit stresses for missing
 edges (d = 3 and d >= 4 routes) and for missing faces of
-k-neighborly polytopes (powers of a linear form).
+k-neighborly polytopes (powers of a linear form).  Every stress
+comes from `stress_basis` or `power_stress`; no rigidity matrix or
+polynomial expansion is built here.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .geometry import (
     segment_hull_meet,
     validate,
 )
-from .rat import R0, R1, sign
+from .rat import R1, sign
 from .simplicial import (
     SimplicialComplex,
     build_complex,
@@ -49,10 +51,7 @@ from .simplicial import (
 from .stress import (
     StressVector,
     balancing_residual,
-    expand_squarefree,
-    poly_directional,
     power_stress,
-    rigidity_matrix,
     stress_basis,
 )
 
@@ -150,6 +149,9 @@ def certificate_check(cert: Certificate, K: SimplicialComplex, p: Embedding) -> 
 def _stress_space(carrier: SimplicialComplex, basis, k: int):
     """The k-faces of the carrier in order, their index, and the basis
     as coordinate vectors over them, scaled to integers once per space."""
+    degrees = {b.degree for b in basis}
+    if degrees - {k}:
+        raise InvalidArgument(f"basis degrees {sorted(degrees)} do not match |F|+1 = {k}")
     face_order = carrier.faces_of_size(k)
     index = {S: i for i, S in enumerate(face_order)}
     return face_order, index, [exactla._integerize(b.as_vector(face_order)) for b in basis]
@@ -199,12 +201,10 @@ def find_certificate(skel: SimplicialComplex, basis, M, F):
     if not basis:
         return None
     k = len(F) + 1
-    degrees = {b.degree for b in basis}
-    if degrees != {k}:
-        raise InvalidArgument(f"basis degrees {sorted(degrees)} do not match |F|+1 = {k}")
+    space = _stress_space(skel, basis, k)
     if not skel.has_face(F):
         raise NotAFace(f"{F} is not a face")
-    return _feasible_certificate(k, _stress_space(skel, basis, k), skel, M, F)
+    return _feasible_certificate(k, space, skel, M, F)
 
 
 def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
@@ -370,11 +370,10 @@ def missing_edge_stress(P: PolytopeInstance, a: int, b: int) -> StressVector:
     graph = skeleton(K, 1)
     if d == 3:
         aug = build_complex(list(graph.facets) + [frozenset(ab)])
-        R = rigidity_matrix(aug, p, 2)
-        _, kern = exactla.kernel_basis(R)
-        if len(kern) != 1:
-            raise RigidityFailure(f"extended kernel has dimension {len(kern)}, expected 1")
-        sv = StressVector.from_vector(2, R.col_labels, kern[0])
+        basis = stress_basis(aug, p, 2)
+        if len(basis) != 1:
+            raise RigidityFailure(f"extended kernel has dimension {len(basis)}, expected 1")
+        sv = basis[0]
         val = sv.coeff(ab)
         if val == 0:
             raise RigidityFailure("kernel element vanishes on the added edge")
@@ -426,14 +425,10 @@ def _edge_stress_high_dim(P: PolytopeInstance, graph: SimplicialComplex, a: int,
     extra = [frozenset((a, c)) for c in Cp] + [frozenset(ab)]
     carrier = build_complex(list(Gsub.facets) + extra)
 
-    R = rigidity_matrix(carrier, p, 2)
-    _, kern = exactla.kernel_basis(R)
-    col = {S: j for j, S in enumerate(R.col_labels)}
-    j_ab = col[ab]
-    for vec in kern:
-        if vec[j_ab] != 0:
-            sv = StressVector.from_vector(2, R.col_labels, vec)
-            return sv.scaled(R1 / vec[j_ab])
+    for sv in stress_basis(carrier, p, 2):
+        val = sv.coeff(ab)
+        if val != 0:
+            return sv.scaled(R1 / val)
     raise RigidityFailure("no kernel element uses the added edge")
 
 
@@ -559,25 +554,20 @@ def recover_stress1_from_stress2(P: PolytopeInstance) -> list[StressVector]:
 
     For a 2-neighborly polytope this equals the affine-dependence
     space of the vertices, so the degree-1 stress data is recoverable
-    from degree 2.
+    from degree 2.  Theta's all-ones row forces the x_v^2 coefficient
+    to -(sum_u c_uv)/2, so d/dx_v is sum_u c_uv (x_u - x_v).
     """
     K = P.complex
     p = P.embedding
     _check_neighborly(K, 2)
     V = K.vertices
-    vidx = {v: i for i, v in enumerate(V)}
     rows = []
     for sv in stress_basis(K, p, 2):
-        full = expand_squarefree(sv, K, p).full
-        for v in V:
-            der = poly_directional(full, {v: R1})
-            if not der:
-                continue
-            row = [R0] * len(V)
-            for mono, c in der.items():
-                (u, _), = mono
-                row[vidx[u]] = c
-            rows.append(row)
+        for i, v in enumerate(V):
+            row = [sv.coeff((u, v)) for u in V]  # (v, v) is no edge: 0
+            row[i] = -sum(row)
+            if any(row):
+                rows.append(row)
     _, reduced = exactla.rref(rows)
     out = []
     for row in reduced:

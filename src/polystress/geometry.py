@@ -353,7 +353,9 @@ def brute_force_facets(points: dict) -> frozenset:
     eliminated vectors is the previous pivot, nonzero, times the
     determinant above with its columns in one fixed order, for every x
     alike, so the signs of sigma are the sides, exactly.
-    For d = 1, sigma(x) is x's single coordinate.
+    For d = 1, sigma(x) is x's single coordinate.  Points in one
+    hyperplane give sigma = 0 everywhere at the first subset classified,
+    or classify none; both raise DegenerateEmbedding.
     """
     labels = sorted(points)
     if not labels:
@@ -365,8 +367,6 @@ def brute_force_facets(points: dict) -> frozenset:
     if d == 0:
         raise InvalidArgument("points have no coordinates")
     pts = _integer_points([points[v] for v in labels])
-    if affine_rank(pts) != d:
-        raise DegenerateEmbedding("points do not span the ambient space")
     facets = set()
 
     def classify(S, sigmas):
@@ -380,6 +380,8 @@ def brute_force_facets(points: dict) -> frozenset:
                 on = True
             if pos and neg:
                 return
+        if not (pos or neg):
+            raise DegenerateEmbedding("points do not span the ambient space")
         if on:
             raise NotSimplicial(f"supporting hyperplane of {tuple(labels[i] for i in S)} contains an extra point")
         facets.add(frozenset(labels[i] for i in S))
@@ -409,6 +411,8 @@ def brute_force_facets(points: dict) -> frozenset:
             classify((b,), (v[0] for _, v in rows))
         else:
             walk((b,), rows, 1)
+    if not facets:
+        raise DegenerateEmbedding("points do not span the ambient space")
     return frozenset(facets)
 
 

@@ -20,8 +20,11 @@ Gram system that geometry's exact Gram-Schmidt replaced, RREFs mod a
 prime by the dense row updates that the modular kernel's sparse
 elimination replaced, and full polynomials by direct differentiation
 with a kernel check and a solve on Fraction rows, and by the pairwise
-row assembly that poly_directional over theta's rows replaced.  Slow
-and simple on purpose.
+row assembly that poly_directional over theta's rows replaced,
+degree-1 recovery by expanding every 2-stress and differentiating the
+full polynomial, and missing-edge stresses by reading the rigidity
+kernel directly, as detect did before it took every stress from
+stress_basis.  Slow and simple on purpose.
 """
 
 from fractions import Fraction
@@ -29,12 +32,30 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
 from polystress.detect import _feasible_certificate, _stress_space
-from polystress.errors import CompletionFailure, DegenerateEmbedding, DegenerateFace, ExpansionFailure, InvalidArgument, NotSimplicial
-from polystress.exactla import RatMatrix, dot, kernel_basis, vec_sub
+from polystress.errors import (
+    CompletionFailure,
+    DegenerateEmbedding,
+    DegenerateFace,
+    ExpansionFailure,
+    InvalidArgument,
+    NotNeighborlyEnough,
+    NotSimplicial,
+)
+from polystress.exactla import RatMatrix, dot, kernel_basis, rref, vec_sub
 from polystress.geometry import _hyperplane, _integer_points, _side, affine_rank
 from polystress.rat import R0, R1, rat
 from polystress.simplicial import build_complex, face_key
-from polystress.stress import StressVector, _compositions, mono_from_face, mono_support, theta
+from polystress.stress import (
+    StressVector,
+    _compositions,
+    expand_squarefree,
+    mono_from_face,
+    mono_support,
+    poly_directional,
+    rigidity_matrix,
+    stress_basis,
+    theta,
+)
 
 
 # --- rows read entry by entry into Fraction and integerized, as exactla
@@ -790,3 +811,50 @@ def pairwise_expand_squarefree(sv, K, p):
         if x != 0:
             full[m] = x
     return StressVector(degree=k, coeffs=dict(sv.coeffs), full=full)
+
+
+# --- detect's stress builders as they stood before every stress came
+# from stress_basis: degree-1 recovery expanded each 2-stress to its full
+# polynomial, and the missing-edge routes read the rigidity kernel
+
+
+def expand_recover_stress1(P):
+    """recover_stress1_from_stress2 by expand_squarefree and
+    poly_directional per (basis stress, vertex)."""
+    K = P.complex
+    p = P.embedding
+    V = K.vertices
+    if len(K.face_set(2)) != comb(len(V), 2):
+        raise NotNeighborlyEnough("not 2-neighborly: some 2-subset is not a face")
+    vidx = {v: i for i, v in enumerate(V)}
+    rows = []
+    for sv in stress_basis(K, p, 2):
+        full = expand_squarefree(sv, K, p).full
+        for v in V:
+            der = poly_directional(full, {v: R1})
+            if not der:
+                continue
+            row = [R0] * len(V)
+            for mono, c in der.items():
+                (u, _), = mono
+                row[vidx[u]] = c
+            rows.append(row)
+    _, reduced = rref(rows)
+    out = []
+    for row in reduced:
+        coeffs = {(v,): c for v, c in zip(V, row) if c != 0}
+        out.append(StressVector(degree=1, coeffs=coeffs))
+    return out
+
+
+def kernel_edge_stress(carrier, p, ab):
+    """(kernel dimension, stress) from the 2-rigidity kernel of a
+    missing-edge carrier: the first kernel vector nonzero on ab, scaled
+    to 1 there, or None when every one vanishes on ab."""
+    R = rigidity_matrix(carrier, p, 2)
+    _, kern = kernel_basis(R)
+    j = R.col_labels.index(ab)
+    for vec in kern:
+        if vec[j] != 0:
+            return len(kern), StressVector.from_vector(2, R.col_labels, vec).scaled(R1 / vec[j])
+    return len(kern), None

@@ -35,6 +35,14 @@ def test_cyclic_matches_gale_evenness(n, d):
     assert P.complex.facets == expected
 
 
+def test_gale_facets_match_the_evenness_oracle():
+    # the facets, in lexicographic order, for every 2 <= d < n <= 16
+    for n in range(3, 17):
+        for d in range(2, n):
+            expected = [S for S in combinations(range(1, n + 1), d) if gale_even(S, n)]
+            assert list(corpus._gale_facets(n, d)) == expected, (n, d)
+
+
 def test_cyclic_neighborliness():
     # floor(d/2)-neighborly: every such subset is a face
     P = instance("cyclic", n=9, d=6)

@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import instance
-from oracles import sign_system_feasible, subset_sweep
+from oracles import expand_recover_stress1, kernel_edge_stress, sign_system_feasible, subset_sweep
+from polystress import detect
 from polystress.detect import (
     Certificate,
     certificate_check,
@@ -24,6 +25,7 @@ from polystress.errors import (
     NotAVertex,
     NotMissing,
     NotNeighborlyEnough,
+    PolystressError,
 )
 from polystress.exactla import rref
 from polystress.geometry import Embedding, PolytopeInstance
@@ -33,6 +35,14 @@ from polystress.stress import StressVector, balancing_residual, power_stress, st
 
 
 EQUATOR = [(2, 4), (2, 5), (3, 4), (3, 5)]
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the package error it raised."""
+    try:
+        return f(*args)
+    except PolystressError as e:
+        return type(e), str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +99,30 @@ def test_missing_edge_stress_high_dim(d):
             assert lam.sign(e) <= 0
         res = balancing_residual(lam, aug, P.embedding)
         assert all(all(x == R0 for x in vec) for vec in res.values())
+
+
+def test_missing_edge_stress_matches_kernel_oracle_on_corpus(full_corpus, monkeypatch):
+    # both orientations of every missing edge; a spy hands the oracle the
+    # carrier each route built, and the oracle reads its rigidity kernel
+    carriers = []
+
+    def spy(K, p, k):
+        carriers.append(K)
+        return stress_basis(K, p, k)
+
+    monkeypatch.setattr(detect, "stress_basis", spy)
+    seen = set()
+    for P in full_corpus:
+        for a, b in (M for M in missing_faces(P.complex, 2) if len(M) == 2):
+            for x, y in ((a, b), (b, a)):
+                carriers.clear()
+                got = missing_edge_stress(P, x, y)
+                (carrier,) = carriers
+                dim, want = kernel_edge_stress(carrier, P.embedding, (a, b))
+                assert got == want, (P.meta, x, y)
+                assert P.d > 3 or dim == 1
+                seen.add(P.d)
+    assert seen == {3, 4, 5}
 
 
 def test_missing_edge_sign_system_agrees_with_fm_oracle():
@@ -225,6 +259,21 @@ def test_find_certificate_edge_cases():
         find_certificate(P.complex, basis, (1, 3, 5), (1, 3))  # degree mismatch
     with pytest.raises(NotAFace):
         find_certificate(P.complex, basis, (7, 8), (7,))
+    # the basis degree is checked before the base face
+    line = stress_basis(P.complex, P.embedding, 1)
+    with pytest.raises(InvalidArgument, match="basis degrees"):
+        find_certificate(P.complex, line, (7, 8), (7,))
+
+
+def test_sweeps_reject_a_basis_of_the_wrong_degree():
+    P = instance("cyclic", n=9, d=6)
+    skel = skeleton(P.complex, 1)
+    basis = stress_basis(P.complex, P.embedding, 3)
+    assert len(basis) == 4
+    with pytest.raises(InvalidArgument, match=r"basis degrees \[3\] do not match"):
+        enumerate_missing_faces(skel, basis, 6, 2)
+    with pytest.raises(InvalidArgument, match=r"basis degrees \[3\] do not match"):
+        certificate_sweep(skel, basis, 6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +407,15 @@ def test_recover_stress1_simplex():
 def test_recover_stress1_needs_neighborly(octahedron):
     with pytest.raises(NotNeighborlyEnough):
         recover_stress1_from_stress2(octahedron)
+
+
+def test_recover_stress1_matches_expansion_oracle_on_corpus(full_corpus):
+    raised = 0
+    for P in full_corpus:
+        got = outcome(recover_stress1_from_stress2, P)
+        assert got == outcome(expand_recover_stress1, P), P.meta
+        raised += isinstance(got, tuple)
+    assert 0 < raised < len(full_corpus)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,27 @@ def test_brute_force_facets_degenerate():
         brute_force_facets({0: (0, 0), 1: (1, 1), 2: (2, 2)})
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        {0: (0, 0)},
+        {0: (0, 0), 1: (1, 0)},
+        {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0)},
+        {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (1, 1, 0), 4: (2, 1, 0)},
+        {0: (5,)},
+        {0: (1,), 1: (1,), 2: (1,)},
+        {0: (1,), 1: (3,), 2: (2,)},
+    ],
+    ids=["one", "n=d", "n=d=3", "plane", "d=1-one", "d=1-same", "d=1"],
+)
+def test_brute_force_facets_few_or_flat_points_match_oracles(points):
+    # fewer than d + 1 points, or all of them in one hyperplane, raise
+    # DegenerateEmbedding from the walk itself, before any NotSimplicial
+    got = outcome(brute_force_facets, points)
+    assert got == outcome(kernel_brute_force_facets, points)
+    assert got == outcome(fraction_brute_force_facets, points)
+
+
 def test_brute_force_facets_rejects_zero_dimensional_points():
     with pytest.raises(InvalidArgument, match="^points have no coordinates$"):
         brute_force_facets({0: ()})

@@ -61,6 +61,31 @@ def test_absolute_imports_are_found():
     assert absolute_imports(source) == [(1, "os"), (4, "fractions")]
 
 
+def referenced_names(source: str) -> set:
+    """Every name, attribute and imported name that `source` mentions."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(filter(None, (node.name, node.asname)))
+    return out
+
+
+def test_referenced_names_are_found():
+    source = "from .stress import a as b, c\nimport d\nx = exactla.e(f)\n"
+    assert referenced_names(source) == {"a", "b", "c", "d", "x", "exactla", "e", "f"}
+
+
+def test_detect_builds_no_stress_of_its_own():
+    # detect takes every stress from stress_basis or power_stress: it
+    # neither assembles a rigidity matrix nor expands or differentiates one
+    names = referenced_names((SRC / "detect.py").read_text(encoding="utf-8"))
+    assert names & {"rigidity_matrix", "expand_squarefree", "poly_directional", "kernel_basis"} == set()
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_only_the_standard_library(path):
     imports = absolute_imports(path.read_text(encoding="utf-8"))
