@@ -147,21 +147,24 @@ def certificate_check(cert: Certificate, K: SimplicialComplex, p: Embedding) -> 
 
 
 def _stress_space(carrier: SimplicialComplex, basis, k: int):
-    """The k-faces of the carrier in order, their index, and the basis
-    as coordinate vectors over them, scaled to integers once per space."""
+    """The k-faces of the carrier in order, their index, the basis as
+    coordinate vectors over them, scaled to integers once per space,
+    and the space's list of Farkas rays for `exactla.strict_feasible`,
+    which grows as the LPs over this span prove sign patterns
+    infeasible and lets later patterns they cover skip their LPs."""
     degrees = {b.degree for b in basis}
     if degrees - {k}:
         raise InvalidArgument(f"basis degrees {sorted(degrees)} do not match |F|+1 = {k}")
     face_order = carrier.faces_of_size(k)
     index = {S: i for i, S in enumerate(face_order)}
-    return face_order, index, [exactla._integerize(b.as_vector(face_order)) for b in basis]
+    return face_order, index, [exactla._integerize(b.as_vector(face_order)) for b in basis], []
 
 
 def _feasible_certificate(k, space, skel, M, F):
     """Shared LP step over a `_stress_space`: strict positivity on F+v
     inside M, nonpositive on F+u leaving M.  Returns a Certificate or
     None, without an LP when the basis is empty."""
-    face_order, index, vectors = space
+    face_order, index, vectors, rays = space
     if not vectors:
         return None
     Fset = set(F)
@@ -179,7 +182,7 @@ def _feasible_certificate(k, space, skel, M, F):
         j = index.get(S)
         if j is not None:
             weak.append(j)
-    witness = exactla.strict_feasible(vectors, strict, weak)
+    witness = exactla.strict_feasible(vectors, strict, weak, rays)
     if witness is None:
         return None
     sv = StressVector.from_vector(k, face_order, witness)

@@ -31,6 +31,23 @@ the one way in, clearing each row of denominators once, up front.
   with prev = that denominator.  `strict_feasible` is the entry point
   the sign-certificate search uses; the general `simplex` also backs
   the convex-position queries elsewhere in the package.
+- Farkas rays let `strict_feasible` skip LPs it can prove infeasible
+  (Motzkin's transposition theorem; Schrijver 1986, ch. 7).  Write L
+  for the span of the basis.  An infeasible query's LP ends with
+  optimal duals y >= 0, which its final objective row holds on the
+  slack columns up to a positive factor.  Dual feasibility on the
+  u and v columns says that w, with w_i = y_i on the strict rows,
+  w_j = -y_j on the weak rows and 0 elsewhere, is orthogonal to L; on
+  the t column, with the dual of t <= 1 equal to the optimum 0, it
+  says the strict duals sum to at least 1, so pos(w) is nonempty
+  unless a coordinate is both strict and weak.  Take a later query
+  over L whose strict set contains pos(w) and whose weak set contains
+  neg(w).  An x in L that met it would give w.x > 0, against w.x = 0,
+  so the query is infeasible.  The ray (pos(w), neg(w)) is kept only
+  after w.b = 0 is checked exactly for every integer basis vector b,
+  so a skip rests on that check and not on the tableau.  Only
+  infeasible queries are skipped, and every LP that still runs is the
+  one that runs without rays, so witnesses do not change.
 """
 
 from __future__ import annotations
@@ -175,12 +192,13 @@ _PRIMES = tuple((1 << e) - 1 for e in (61, 89, 127, 521))
 # Below this many cells a matrix stays on Bareiss: entry growth is still
 # small there, and the modular route's set-up, reconstruction and exact
 # check can cost more than they save, most of all when the coordinates
-# force a second prime.  Timed on 90 corpus rigidity matrices (k = 2, 3,
-# 4) and 214 certify kernels, the modular route takes 0.09x to 4.6x
-# Bareiss's time below 2000 cells (over 1x on most kernels of at most
-# 135 cells and on certify's 24x15 to 32x23 kernels, some of which run
-# through two to four primes) and 0.002x to 0.46x above.
-_MODULAR_CELLS = 2000
+# force a second prime.  Timed on every kernel of one certify pass (best
+# of 3, outputs identical): the modular route takes 1.09x Bareiss's time
+# on the 32x23 kernels (736 cells) and 1.21x on 28x19, but 0.35x on
+# 36x27, 0.40x on 40x31 and 0.32x on the 23 kernels of 44x35 per pass;
+# the stress and load workloads make no kernel call between 737 and
+# 2000 cells.
+_MODULAR_CELLS = 737
 
 
 def _rref_mod(rows, p) -> tuple[list[dict[int, int]], list[int]]:
@@ -463,6 +481,17 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     "infeasible"}.  The feasible problems this package builds are all
     bounded; an unbounded one raises InternalArithmeticError.
     """
+    return _solve(obj, A_ub, b_ub, A_eq, b_eq)[:3]
+
+
+def _solve(obj, A_ub, b_ub, A_eq, b_eq):
+    """`simplex`'s (status, x, value) and the final objective row z.
+
+    z[j] is den times column j's reduced cost, den > 0, so z <= 0 on
+    every column at the optimum; on the slack of an integer row of
+    A_ub with rhs >= 0 it is -den times that row's optimal dual.  z is
+    None when the problem is infeasible.
+    """
     A_ub = [] if A_ub is None else A_ub
     b_ub = [] if b_ub is None else b_ub
     A_eq = [] if A_eq is None else A_eq
@@ -497,7 +526,7 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     if n_art:
         z = T.run([0] * (n + n_slack) + [-1] * n_art, allowed=nvars)
         if z[-1] != 0:  # leftover artificial mass
-            return "infeasible", None, None
+            return "infeasible", None, None, None
         # drive artificials out of the basis or drop redundant rows
         for r in range(len(T.rows) - 1, -1, -1):
             if T.basis[r] >= n + n_slack:
@@ -508,21 +537,29 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
                 else:
                     T.pivot(r, col)
 
-    T.run(_integerize(obj) + [0] * (n_slack + n_art), allowed=n + n_slack)
+    z = T.run(_integerize(obj) + [0] * (n_slack + n_art), allowed=n + n_slack)
     x = [R0] * n
     for r, bv in enumerate(T.basis):
         if bv < n:
             x[bv] = rat(T.rows[r][-1], T.den)
-    return "optimal", x, dot(obj, x)
+    return "optimal", x, dot(obj, x), z
 
 
-def strict_feasible(basis, strict_coords, weak_coords):
+def strict_feasible(basis, strict_coords, weak_coords, rays=None):
     """Search span(basis) for x with x_i > 0 on strict and x_j <= 0 on weak.
 
     Maximizes t subject to x_i >= t on strict coordinates, x_j <= 0 on
     weak ones, and t <= 1; a witness exists iff the optimum is
     positive.  Returns the witness vector (not normalized) or None.
     An empty strict set is vacuous and yields the zero vector.
+
+    `rays`, if given, is a list the caller keeps for this one span and
+    passes to every query over it.  A query whose strict set contains
+    pos and whose weak set contains neg of a stored (pos, neg) is
+    answered None without an LP; an infeasible LP stores the support
+    of its Farkas ray w, read off its optimal duals, once w . b = 0 is
+    checked exactly for every basis vector b (see the module
+    docstring).  Witnesses do not depend on the rays.
     """
     strict = sorted(set(strict_coords))
     weak = sorted(set(weak_coords))
@@ -535,6 +572,10 @@ def strict_feasible(basis, strict_coords, weak_coords):
             raise InvalidArgument(f"coordinate {i} out of range")
     if not strict:
         return [R0] * ncoords
+    if rays is not None:
+        S, W = set(strict), set(weak)
+        if any(pos <= S and neg <= W for pos, neg in rays):
+            return None
     g = len(basis)
     # a positive scaling of each basis vector scales the LP's columns,
     # which changes neither Bland's pivot sequence nor the witness
@@ -551,8 +592,23 @@ def strict_feasible(basis, strict_coords, weak_coords):
     A_ub.append([0] * (2 * g) + [1])
     b_ub.append(1)
     obj = [0] * (2 * g) + [1]
-    status, xvars, value = simplex(obj, A_ub=A_ub, b_ub=b_ub)
-    if status != "optimal" or value <= 0:
+    # x = 0, t = 0 is feasible, so the LP always reaches an optimum
+    _, xvars, value, z = _solve(obj, A_ub, b_ub, None, None)
+    if value <= 0:
+        if rays is not None:
+            # slack j holds -den * y_j: w = y on the strict rows, -y on the weak ones
+            slack = z[2 * g + 1:]
+            w = [0] * ncoords
+            for j, i in enumerate(strict):
+                w[i] -= slack[j]
+            for j, i in enumerate(weak, len(strict)):
+                w[i] += slack[j]
+            support = [(i, wi) for i, wi in enumerate(w) if wi]
+            if any(sum(wi * B[i] for i, wi in support) for B in basis):
+                raise InternalArithmeticError("Farkas ray of an infeasible LP is not orthogonal to the basis")
+            pos = frozenset(i for i, wi in support if wi > 0)
+            if pos:  # empty only if a coordinate is both strict and weak
+                rays.append((pos, frozenset(i for i, wi in support if wi < 0)))
         return None
     coeffs = [xvars[j] - xvars[g + j] for j in range(g)]
     out = [R0] * ncoords

@@ -404,8 +404,9 @@ def subset_complete_prime(skelDK, missing, d):
 
 def subset_sweep(skel, basis, d, k):
     """certificate_sweep over every vertex subset in the size window,
-    skipping supersets of certified sets by a scan of the certified list."""
-    space = _stress_space(skel, basis, k)
+    skipping supersets of certified sets by a scan of the certified list,
+    with one LP per sign pattern (no Farkas rays)."""
+    space = (*_stress_space(skel, basis, k)[:3], None)
     certified, open_candidates = [], []
     for size in range(k + 1, d - k + 2):
         for M in combinations(skel.vertices, size):

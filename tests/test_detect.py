@@ -2,7 +2,7 @@ import pytest
 
 from conftest import instance
 from oracles import expand_recover_stress1, kernel_edge_stress, sign_system_feasible, subset_sweep
-from polystress import detect
+from polystress import detect, exactla
 from polystress.detect import (
     Certificate,
     certificate_check,
@@ -320,6 +320,48 @@ def test_certificate_sweep_matches_subset_oracle_on_corpus(full_corpus):
         skel = skeleton(P.complex, 1)
         basis = stress_basis(skel, P.embedding, 2)
         assert certificate_sweep(skel, basis, P.d, 2) == subset_sweep(skel, basis, P.d, 2), P.meta
+
+
+def test_certificate_sweep_farkas_rays_match_one_lp_per_pattern_on_corpus(full_corpus, monkeypatch):
+    # every sweep at k = 2 and 3 with its space's Farkas rays, then with an
+    # LP for every sign pattern: the lists and every certificate on the way
+    # agree, each certificate is find_certificate's, and LPs were skipped
+    real_space, real_cert, real_solve = detect._stress_space, detect._feasible_certificate, exactla._solve
+    found, lps = [], [0]
+
+    def cert_spy(k, space, skel, M, F):
+        found.append((M, F, real_cert(k, space, skel, M, F)))
+        return found[-1][2]
+
+    def solve_spy(*args):
+        lps[0] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(detect, "_feasible_certificate", cert_spy)
+    monkeypatch.setattr(exactla, "_solve", solve_spy)
+
+    def sweep(skel, basis, d, k, space):
+        monkeypatch.setattr(detect, "_stress_space", space)
+        found.clear()
+        lps[0] = 0
+        return certificate_sweep(skel, basis, d, k), found[:], lps[0]
+
+    with_rays = without = 0
+    for P in full_corpus:
+        for k in (2, 3):
+            if P.d < 2 * k:  # no candidate size between k + 1 and d - k + 1
+                continue
+            skel = skeleton(P.complex, k - 1)
+            basis = stress_basis(skel, P.embedding, k)
+            lists, certs, ran = sweep(skel, basis, P.d, k, real_space)
+            plain = sweep(skel, basis, P.d, k, lambda *a: (*real_space(*a)[:3], None))
+            assert (lists, certs) == plain[:2], (P.meta, k)
+            for M, F, cert in certs:
+                if cert is not None:
+                    assert find_certificate(skel, basis, M, F) == cert
+            with_rays += ran
+            without += plain[2]
+    assert 0 < with_rays < without
 
 
 # ---------------------------------------------------------------------------

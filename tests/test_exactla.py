@@ -532,6 +532,52 @@ def test_strict_feasible_matches_oracle(problem):
         assert strict_feasible(basis, strict, weak) == witness
 
 
+@st.composite
+def sign_query_sequence(draw):
+    nb = draw(st.integers(1, 3))
+    nc = draw(st.integers(1, 5))
+    basis = [[draw(small_entries) for _ in range(nc)] for _ in range(nb)]
+    coords = st.lists(st.integers(0, nc - 1), unique=True, max_size=nc)
+    return basis, draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=10))
+
+
+@settings(deadline=None, max_examples=200)
+@given(sign_query_sequence())
+@example(([[1, 1, 0]], [([0], [1]), ([0, 2], [1, 2])]))  # the second query is skipped
+@example(([[1]], [([0], [0])]))  # a coordinate both strict and weak: w = 0, no ray
+def test_strict_feasible_with_shared_rays_matches_fresh_lps_and_oracle(problem):
+    basis, queries = problem
+    exact = [[Fraction(c) for c in row] for row in basis]
+    rays = []
+    for strict, weak in queries:
+        got = strict_feasible(basis, strict, weak, rays)
+        assert got == strict_feasible(basis, strict, weak)
+        assert (got is not None) == sign_system_feasible(exact, strict, weak)
+    # every stored ray is a Farkas certificate: its own pattern is infeasible
+    for pos, neg in rays:
+        assert pos
+        assert not sign_system_feasible(exact, sorted(pos), sorted(neg))
+
+
+def test_strict_feasible_rejects_a_ray_off_the_basis(monkeypatch):
+    # a corrupted objective row gives a w with w . b != 0: the exact check
+    # raises before the ray is stored
+    real = exactla._solve
+
+    def corrupt(*args):
+        status, x, value, z = real(*args)
+        z = z[:]
+        z[3] *= 2  # the strict row's slack; columns u_0, v_0 and t come first
+        return status, x, value, z
+
+    monkeypatch.setattr(exactla, "_solve", corrupt)
+    rays = []
+    with pytest.raises(InternalArithmeticError, match="Farkas ray"):
+        strict_feasible([[1, 1]], [0], [1], rays)
+    assert rays == []
+    assert strict_feasible([[1, 1]], [0], [1]) is None  # no rays, no check
+
+
 def test_vector_helpers():
     assert exactla.dot([1, 2], [3, 4]) == 11
     assert exactla.vec_add([1, 2], [3, 4]) == [Rat(4), Rat(6)]
