@@ -15,12 +15,21 @@ test, `brute_force_facets`, builds no hyperplane: a side is the sign of
 a determinant of difference vectors, and the d-subsets sharing a prefix
 share one fraction-free elimination of those vectors.
 
-Altitudes come from exact Gram-Schmidt; a zero residual means the base
-face is affinely dependent (`DegenerateFace`).
+Altitudes are integer too.  Let P = s*p, s the lcm of the coordinate
+denominators; for a face F let D hold the rows P(f) - P(F0), f in F[1:],
+G = D D^T and g = det G.  The projection of u onto the row space of D
+is D^T adj(G) D u / g, so with u = P(v) - P(F0)
+
+    g u - D^T adj(G) D u = s g alt(F, v),
+
+an integer vector.  g > 0 exactly when F is affinely independent;
+g = 0 raises `DegenerateFace`.  One projector (p(F0), D, adj(G) D, g)
+per face serves every vertex over it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -122,29 +131,16 @@ def altitude_vector(F, v: int, p: Embedding):
     """p(v) minus its orthogonal projection onto Aff(p(F)).
 
     Zero iff p(v) lies in that affine hull.  F must be nonempty with
-    affinely independent points.  Exact Gram-Schmidt on the differences
-    from p(F0), F in sorted order; a zero residual among F's own points
-    raises DegenerateFace.
+    affinely independent points, else DegenerateFace; the integer
+    projector of F (module docstring) gives s*g times the altitude.
     """
     Fs = face_key(F)
     if not Fs:
         raise InvalidArgument("altitude needs a nonempty base face")
     if v in Fs:
         raise InvalidArgument(f"vertex {v} lies in the base face")
-    q = p.point(v)
-    base, *rest = p.points(Fs)
-    ortho = []  # (u, u.u) per difference stripped so far; p(v) comes last
-    for x in [*rest, q]:
-        u = exactla.vec_sub(x, base)
-        for w, ww in ortho:
-            c = exactla.dot(u, w)
-            if c:
-                u = exactla.vec_sub(u, exactla.vec_scale(c / ww, w))
-        if len(ortho) == len(rest):
-            return u
-        if exactla.is_zero_vec(u):
-            raise DegenerateFace(f"face {Fs} is affinely dependent")
-        ortho.append((u, exactla.dot(u, u)))
+    a, n = _altitudes(p)(Fs, v)
+    return [rat(x, n) for x in a]
 
 
 def _integer_points(pts) -> list:
@@ -152,6 +148,58 @@ def _integer_points(pts) -> list:
     coordinate is an int; `exactla._integerize` rejects bools and floats."""
     flat = iter(exactla._integerize([x for pt in pts for x in pt]))
     return [tuple(islice(flat, len(pt))) for pt in pts]
+
+
+def _projector(F, pts) -> tuple:
+    """(base, D, adj(G) D, g) for the face F with integer points pts:
+    base = pts[0], D the rows pts[i] - base, G = D D^T and g = det G.
+
+    Fraction-free Gauss-Jordan on [G | D] ends at [g I | adj(G) D].
+    Pivot i is G's leading (i+1)-minor, the Gram determinant of D's
+    first i+1 rows, so no row swap is needed, and a zero pivot means F
+    is affinely dependent.
+    """
+    base, *rest = pts
+    D = [[a - b for a, b in zip(x, base)] for x in rest]
+    rows = [[sum(a * b for a, b in zip(x, y)) for y in D] + x for x in D]
+    g = 1
+    for i, prow in enumerate(rows):
+        if not prow[i]:
+            raise DegenerateFace(f"face {F} is affinely dependent")
+        exactla._pivot_step([row for row in rows if row is not prow], prow, i, g)
+        g = prow[i]
+    return base, D, [row[len(D):] for row in rows], g
+
+
+def _altitudes(p: Embedding):
+    """alt(F, v) -> (a, n) with a / n the altitude of p(v) over Aff(p(F)),
+    a an integer vector and n = s*g > 0, F a sorted tuple.
+
+    s is the lcm of the denominators of p's coordinates, and F's
+    projector is built on its first use.
+    """
+    s = math.lcm(*(x.denominator for pt in p.coords.values() for x in pt))
+    pts = {u: [x.numerator * (s // x.denominator) for x in pt] for u, pt in p.coords.items()}
+    faces = {}
+
+    def point(u):
+        return pts[u] if u in pts else p.point(u)  # p.point raises NotAVertex
+
+    def alt(F, v):
+        q = point(v)
+        proj = faces.get(F)
+        if proj is None:
+            proj = faces[F] = _projector(F, [point(u) for u in F])
+        base, D, M, g = proj
+        u = [a - b for a, b in zip(q, base)]
+        a = [g * x for x in u]
+        for drow, mrow in zip(D, M):
+            c = sum(x * y for x, y in zip(mrow, u))
+            if c:
+                a = [x - c * y for x, y in zip(a, drow)]
+        return a, s * g
+
+    return alt
 
 
 def _hyperplane(pts):

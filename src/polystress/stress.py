@@ -14,9 +14,10 @@ Polynomials are dicts keyed by monomials: sorted tuples of
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from . import exactla
 from .errors import (
@@ -27,8 +28,8 @@ from .errors import (
     NotNeighborlyEnough,
 )
 from .exactla import RatMatrix
-from .geometry import Embedding, affine_rank, altitude_vector
-from .rat import R0, R1, rat, sign
+from .geometry import Embedding, _altitudes, _integer_points, affine_rank
+from .rat import R0, R1, Rat, rat, sign
 from .simplicial import SimplicialComplex, face_key, skeleton
 
 
@@ -158,11 +159,14 @@ def theta(p: Embedding, order=None) -> RatMatrix:
 
 
 def rigidity_matrix(K: SimplicialComplex, p: Embedding, k: int) -> RatMatrix:
-    """The k-rigidity matrix of (K, p).
+    """The k-rigidity matrix of (K, p), with int entries.
 
     Rows: d per (k-2)-face, in sorted face order; columns: (k-1)-faces
     in sorted order.  The (F, G) block is the altitude of the added
-    vertex of G over Aff(p(F)).
+    vertex of G over Aff(p(F)) times one positive factor per row
+    block: s*g(F) from F's integer projector (see `geometry`), divided
+    by the block's content.  Each block is a positive multiple of the
+    altitude block, so the kernel is the rigidity matrix's.
     """
     if k < 2:
         raise InvalidArgument("rigidity matrices need k >= 2")
@@ -170,18 +174,24 @@ def rigidity_matrix(K: SimplicialComplex, p: Embedding, k: int) -> RatMatrix:
     Fs = K.faces_of_size(k - 1)
     Gs = K.faces_of_size(k)
     frow = {F: i for i, F in enumerate(Fs)}
-    entries = [[R0] * len(Gs) for _ in range(d * len(Fs))]
+    alt = _altitudes(p)
+    blocks: dict = {}  # F -> [(column, integer altitude)]
     for j, G in enumerate(Gs):
         for v in G:
             F = tuple(u for u in G if u != v)
-            pi = altitude_vector(F, v, p)
-            if exactla.is_zero_vec(pi):
+            a, _ = alt(F, v)
+            if not any(a):
                 raise DegenerateFace(f"face {G} has affinely dependent points")
-            base = frow[F] * d
+            blocks.setdefault(F, []).append((j, a))
+    entries = [[0] * len(Gs) for _ in range(d * len(Fs))]
+    for F, cols in blocks.items():
+        content = gcd(*(x for _, a in cols for x in a))
+        base = frow[F] * d
+        for j, a in cols:
             for ax in range(d):
-                entries[base + ax][j] = pi[ax]
+                entries[base + ax][j] = a[ax] // content
     row_labels = tuple((F, ax) for F in Fs for ax in range(d))
-    return RatMatrix.from_rows(entries, row_labels=row_labels, col_labels=tuple(Gs))
+    return RatMatrix(entries=tuple(map(tuple, entries)), row_labels=row_labels, col_labels=tuple(Gs))
 
 
 def stress_basis(K: SimplicialComplex, p: Embedding, k: int) -> list[StressVector]:
@@ -207,7 +217,9 @@ def balancing_residual(sv: StressVector, K: SimplicialComplex, p: Embedding) -> 
 
     Sums coeff(G) * altitude(F, G) over the k-faces G of K containing
     each F; a genuine stress returns all-zero vectors.  Computed by
-    direct summation, independent of the matrix assembly.
+    direct summation over ints (the coefficients cleared of their
+    denominators, the altitudes s*g(F) times their value), divided once
+    per face, independent of the matrix assembly.
     """
     k = sv.degree
     if k < 2:
@@ -216,16 +228,22 @@ def balancing_residual(sv: StressVector, K: SimplicialComplex, p: Embedding) -> 
         if not K.has_face(F):
             raise InvalidArgument(f"support face {F} is not in the complex")
     d = p.dim
-    res = {F: [R0] * d for F in K.faces_of_size(k - 1)}
+    alt = _altitudes(p)
+    den = lcm(*(c.denominator for c in sv.coeffs.values()))
+    sums: dict = {}  # F -> (sum of den*coeff(G) * s*g(F)*altitude, s*g(F))
     for G in K.faces_of_size(k):
         c = sv.coeffs.get(G)
         if not c:
             continue
+        c = c.numerator * (den // c.denominator)
         for v in G:
             F = tuple(u for u in G if u != v)
-            pi = altitude_vector(F, v, p)
-            res[F] = [r + c * x for r, x in zip(res[F], pi)]
-    return {F: tuple(vec) for F, vec in res.items()}
+            a, n = alt(F, v)
+            acc, _ = sums.setdefault(F, ([0] * d, n))
+            for ax in range(d):
+                acc[ax] += c * a[ax]
+    zero = (R0,) * d
+    return {F: tuple(Rat(x, den * sums[F][1]) for x in sums[F][0]) if F in sums else zero for F in K.faces_of_size(k - 1)}
 
 
 @dataclass(frozen=True)
@@ -381,6 +399,12 @@ def power_stress(phi: dict, k: int, K: SimplicialComplex, p: Embedding) -> Stres
     min(k, |supp|)-subset of the support must be a face, otherwise the
     power leaves the face ring.  The power's derivatives along the same
     rows are checked to vanish, which certifies the expansion.
+
+    One integer pass: phi is scaled by the lcm c of its denominators
+    and theta's rows by the lcm of the points' (a positive scaling per
+    row keeps every zero test), the multinomial terms of (c phi)^k are
+    ints keyed by sorted tuples of support indices, and each
+    coefficient is divided by c^k once at the end.
     """
     if k < 1:
         raise InvalidArgument("power must be >= 1")
@@ -388,23 +412,33 @@ def power_stress(phi: dict, k: int, K: SimplicialComplex, p: Embedding) -> Stres
     if not weights:
         raise InvalidArgument("zero linear form")
     supp = sorted(weights)
-    rows = [dict(zip(supp, r)) for r in theta(p, supp).entries]
-    if any(poly_directional({((v, 1),): c for v, c in weights.items()}, w) for w in rows):
+    c = lcm(*(x.denominator for x in weights.values()))
+    w = [weights[v].numerator * (c // weights[v].denominator) for v in supp]
+    rows = [*zip(*_integer_points(p.points(supp))), [1] * len(supp)]
+    if any(sum(a * b for a, b in zip(row, w)) for row in rows):
         raise InvalidArgument("coefficients are not an affine dependence")
     m = min(k, len(supp))
     for S in combinations(supp, m):
         if not K.has_face(S):
             raise NotNeighborlyEnough(f"{S} is not a face, cannot raise to power {k}")
-    full: dict = {}
-    for pick in combinations_with_replacement(supp, k):
-        counts: dict[int, int] = {}
-        for v in pick:
-            counts[v] = counts.get(v, 0) + 1
-        coeff = rat(factorial(k))
-        for v, e in counts.items():
-            coeff = coeff / rat(factorial(e)) * weights[v] ** e
-        if coeff != 0:
-            full[tuple(sorted(counts.items()))] = coeff
-    if any(poly_directional(full, w) for w in rows):
-        raise ExpansionFailure("power is not a stress; embedding inconsistent")
+    # (c^k times the coefficient, [(index, exponent, pick less that index)])
+    terms = []
+    for pick in combinations_with_replacement(range(len(supp)), k):
+        coeff = factorial(k)
+        parts = []
+        for i, e in Counter(pick).items():
+            coeff = coeff // factorial(e) * w[i] ** e  # k!/(e_1! ... e_j!) is an int at every j
+            pos = pick.index(i)
+            parts.append((i, e, pick[:pos] + pick[pos + 1:]))
+        terms.append((coeff, parts))
+    for row in rows:
+        deriv: dict = {}
+        for coeff, parts in terms:
+            for i, e, key in parts:
+                if row[i]:
+                    deriv[key] = deriv.get(key, 0) + coeff * e * row[i]
+        if any(deriv.values()):
+            raise ExpansionFailure("power is not a stress; embedding inconsistent")
+    ck = c**k
+    full = {tuple((supp[i], e) for i, e, _ in parts): Rat(coeff, ck) for coeff, parts in terms}
     return StressVector.from_full(k, full)

@@ -16,8 +16,11 @@ hull facets also by that test's one kernel per d-subset, which the
 hull's shared fraction-free elimination replaced,
 kernels and solutions by the Fraction back substitutions that
 exactla's one integer readout replaced, altitudes by the rank test and
-Gram system that geometry's exact Gram-Schmidt replaced, RREFs mod a
-prime by the dense row updates that the modular kernel's sparse
+Gram system and by the exact Gram-Schmidt loop that geometry's integer
+projectors replaced, rigidity matrices, balancing residuals and rigidity
+reports over those Fraction altitudes, powers of affine dependences by
+the Fraction expansion that power_stress's integer pass replaced, RREFs
+mod a prime by the dense row updates that the modular kernel's sparse
 elimination replaced, and full polynomials by direct differentiation
 with a kernel check and a solve on Fraction rows, and by the pairwise
 row assembly that poly_directional over theta's rows replaced,
@@ -29,7 +32,7 @@ stress_basis.  Slow and simple on purpose.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from polystress.detect import _feasible_certificate, _stress_space
 from polystress.errors import (
@@ -44,8 +47,9 @@ from polystress.errors import (
 from polystress.exactla import RatMatrix, dot, kernel_basis, rref, vec_sub
 from polystress.geometry import _hyperplane, _integer_points, _side, affine_rank
 from polystress.rat import R0, R1, rat
-from polystress.simplicial import build_complex, face_key
+from polystress.simplicial import build_complex, face_key, skeleton
 from polystress.stress import (
+    RigidityReport,
     StressVector,
     _compositions,
     expand_squarefree,
@@ -647,6 +651,125 @@ def gram_altitude(F, v, p):
     for c, a in zip(sol, D):
         proj = [x + c * y for x, y in zip(proj, a)]
     return vec_sub(q, proj)
+
+
+# --- altitudes by exact Gram-Schmidt, and rigidity matrices, balancing
+# residuals and powers of affine dependences over Fraction altitudes and
+# weights, as stress built them before its integer projectors and its
+# integer power
+
+
+def schmidt_altitude(F, v, p):
+    """p(v) minus its orthogonal projection onto Aff(p(F)), by exact
+    Gram-Schmidt on the differences from p(F0); a zero residual among
+    F's own points raises DegenerateFace."""
+    Fs = face_key(F)
+    if not Fs:
+        raise InvalidArgument("altitude needs a nonempty base face")
+    if v in Fs:
+        raise InvalidArgument(f"vertex {v} lies in the base face")
+    q = p.point(v)
+    base, *rest = p.points(Fs)
+    ortho = []  # (u, u.u) per difference stripped so far; p(v) comes last
+    for x in [*rest, q]:
+        u = vec_sub(x, base)
+        for w, ww in ortho:
+            c = dot(u, w)
+            if c:
+                u = [a - c / ww * b for a, b in zip(u, w)]
+        if len(ortho) == len(rest):
+            return u
+        if not any(u):
+            raise DegenerateFace(f"face {Fs} is affinely dependent")
+        ortho.append((u, dot(u, u)))
+
+
+def gram_rigidity_matrix(K, p, k):
+    """The k-rigidity matrix with each (F, G) block the Fraction altitude
+    `gram_altitude(F, v, p)`, v the vertex of G outside F."""
+    if k < 2:
+        raise InvalidArgument("rigidity matrices need k >= 2")
+    d = p.dim
+    Fs = K.faces_of_size(k - 1)
+    Gs = K.faces_of_size(k)
+    frow = {F: i for i, F in enumerate(Fs)}
+    entries = [[R0] * len(Gs) for _ in range(d * len(Fs))]
+    for j, G in enumerate(Gs):
+        for v in G:
+            F = tuple(u for u in G if u != v)
+            pi = gram_altitude(F, v, p)
+            if not any(pi):
+                raise DegenerateFace(f"face {G} has affinely dependent points")
+            for ax in range(d):
+                entries[frow[F] * d + ax][j] = pi[ax]
+    row_labels = tuple((F, ax) for F in Fs for ax in range(d))
+    return RatMatrix.from_rows(entries, row_labels=row_labels, col_labels=tuple(Gs))
+
+
+def gram_balancing_residual(sv, K, p):
+    """sum of coeff(G) * gram_altitude(F, v) over the k-faces G = F + v of K,
+    per (k-2)-face F."""
+    k = sv.degree
+    if k < 2:
+        raise InvalidArgument("balancing residuals need degree >= 2")
+    for F in sv.support():
+        if not K.has_face(F):
+            raise InvalidArgument(f"support face {F} is not in the complex")
+    res = {F: [R0] * p.dim for F in K.faces_of_size(k - 1)}
+    for G in K.faces_of_size(k):
+        c = sv.coeffs.get(G)
+        if not c:
+            continue
+        for v in G:
+            F = tuple(u for u in G if u != v)
+            res[F] = [r + c * x for r, x in zip(res[F], gram_altitude(F, v, p))]
+    return {F: tuple(vec) for F, vec in res.items()}
+
+
+def gram_rigidity_report(K, p):
+    """is_infinitesimally_rigid's report, with the rank of the Gram
+    rigidity matrix of K's graph by Fraction Gaussian elimination."""
+    graph = K if K.dim <= 1 else skeleton(K, 1)
+    d = p.dim
+    if affine_rank([p.point(v) for v in graph.vertices]) != d:
+        raise DegenerateEmbedding("embedding does not span the ambient space")
+    rnk = gauss_rank(gram_rigidity_matrix(graph, p, 2).entries)
+    f0 = len(graph.vertices)
+    f1 = len(graph.faces_of_size(2))
+    expected = d * f0 - comb(d + 1, 2)
+    return RigidityReport(rigid=rnk == expected, rank=rnk, expected_rank=expected, stress_dim=f1 - rnk, d=d, f0=f0, f1=f1)
+
+
+def fraction_power_stress(phi, k, K, p):
+    """The k-th power of an affine 1-stress over Fraction weights, with
+    the dependence test and the stress check by poly_directional along
+    theta's rows."""
+    if k < 1:
+        raise InvalidArgument("power must be >= 1")
+    weights = {v: rat(c) for v, c in phi.items() if c != 0}
+    if not weights:
+        raise InvalidArgument("zero linear form")
+    supp = sorted(weights)
+    rows = [dict(zip(supp, r)) for r in theta(p, supp).entries]
+    if any(poly_directional({((v, 1),): c for v, c in weights.items()}, w) for w in rows):
+        raise InvalidArgument("coefficients are not an affine dependence")
+    m = min(k, len(supp))
+    for S in combinations(supp, m):
+        if not K.has_face(S):
+            raise NotNeighborlyEnough(f"{S} is not a face, cannot raise to power {k}")
+    full = {}
+    for pick in combinations_with_replacement(supp, k):
+        counts = {}
+        for v in pick:
+            counts[v] = counts.get(v, 0) + 1
+        coeff = rat(factorial(k))
+        for v, e in counts.items():
+            coeff = coeff / rat(factorial(e)) * weights[v] ** e
+        if coeff != 0:
+            full[tuple(sorted(counts.items()))] = coeff
+    if any(poly_directional(full, w) for w in rows):
+        raise ExpansionFailure("power is not a stress; embedding inconsistent")
+    return StressVector.from_full(k, full)
 
 
 

@@ -1,7 +1,13 @@
 import pytest
 
 from conftest import instance
-from oracles import expand_recover_stress1, kernel_edge_stress, sign_system_feasible, subset_sweep
+from oracles import (
+    expand_recover_stress1,
+    fraction_power_stress,
+    kernel_edge_stress,
+    sign_system_feasible,
+    subset_sweep,
+)
 from polystress import detect, exactla
 from polystress.detect import (
     Certificate,
@@ -412,6 +418,30 @@ def test_neighborly_certificate_cyclic_86():
     Mset = set(M)
     for G in cert.stress.support():
         assert (-1) ** len(set(G) - Mset) * cert.stress.coeff(G) > 0
+
+
+def test_power_stress_matches_fraction_oracle_on_neighborly_certificates(full_corpus, monkeypatch):
+    # every power that a neighborly certificate of the corpus raises, at
+    # k = 2 and 3, equals the Fraction expansion's
+    calls = []
+
+    def spy(phi, k, K, p):
+        calls.append((phi, k, K, p))
+        return power_stress(phi, k, K, p)
+
+    monkeypatch.setattr(detect, "power_stress", spy)
+    certs = 0
+    for P in full_corpus:
+        for k in (2, 3):
+            for M in missing_faces(P.complex, len(P.complex.vertices)):
+                try:
+                    neighborly_certificate(P, M, k)
+                except PolystressError:
+                    continue
+                certs += 1
+    assert certs == len(calls) >= 100
+    for phi, k, K, p in calls:
+        assert power_stress(phi, k, K, p) == fraction_power_stress(phi, k, K, p), (phi, k)
 
 
 def test_neighborly_certificate_rejects(octahedron):

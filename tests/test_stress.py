@@ -9,11 +9,17 @@ from oracles import (
     diff_var,
     f_vector,
     fraction_expand_squarefree,
+    fraction_power_stress,
     g_vector,
     gauss_rank,
+    gram_altitude,
+    gram_balancing_residual,
+    gram_rigidity_matrix,
+    gram_rigidity_report,
     is_affine_stress,
     pairwise_expand_squarefree,
     poly_from_full,
+    schmidt_altitude,
     supported_on,
 )
 from polystress import exactla
@@ -24,9 +30,10 @@ from polystress.errors import (
     InvalidArgument,
     NotAVertex,
     NotNeighborlyEnough,
+    PolystressError,
 )
-from polystress.exactla import kernel_basis, rref
-from polystress.geometry import Embedding, vertex_figure
+from polystress.exactla import RatMatrix, kernel_basis, rref
+from polystress.geometry import Embedding, altitude_vector, vertex_figure
 from polystress.rat import R0, R1, rat
 from polystress.simplicial import build_complex, cone, skeleton
 from polystress.stress import (
@@ -167,6 +174,80 @@ def test_rigidity_matrix_rejects():
         rigidity_matrix(build_complex([(0, 1)]), emb([(0,), (1,)], dim=1), 1)
     with pytest.raises(DegenerateFace):
         rigidity_matrix(build_complex([(0, 1)]), emb([(0,), (0,)], dim=1), 2)
+
+
+# ---------------------------------------------------------------------------
+# integer assembly against the Gram oracles
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of the package error it raised."""
+    try:
+        return f(*args)
+    except PolystressError as e:
+        return type(e), str(e)
+
+
+def assert_block_multiples(R, O, d):
+    """R has int entries and each d-row block of R is a positive multiple
+    of O's."""
+    assert (R.row_labels, R.col_labels) == (O.row_labels, O.col_labels)
+    assert all(type(x) is int for row in R.entries for x in row)
+    for i in range(0, R.nrows, d):
+        pairs = [(x, y) for rr, oo in zip(R.entries[i : i + d], O.entries[i : i + d]) for x, y in zip(rr, oo)]
+        ratio = next((x / y for x, y in pairs if y), R1)
+        assert ratio > 0 and all(x == ratio * y for x, y in pairs), R.row_labels[i]
+
+
+def test_integer_assembly_matches_gram_oracle_on_corpus(full_corpus):
+    for P in full_corpus:
+        K, p = P.complex, P.embedding
+        for k in (2, 3, 4):
+            O = gram_rigidity_matrix(K, p, k)
+            assert_block_multiples(rigidity_matrix(K, p, k), O, p.dim)
+            want = [StressVector.from_vector(k, O.col_labels, vec) for vec in kernel_basis(O)[1]]
+            assert stress_basis(K, p, k) == want, (P.meta, k)
+        assert is_infinitesimally_rigid(K, p) == gram_rigidity_report(K, p), P.meta
+
+
+@st.composite
+def rational_frameworks(draw):
+    """Three to six points in R^2..R^4 with coordinates in halves, thirds
+    and quarters, the last possibly an affine combination of two others
+    (a copy when the weight is 0 or 1), a complex of one to five
+    k-subsets, k = 2..4, and a rational k-stress candidate on it."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(3, 6))
+    coord = st.fractions(-2, 2, max_denominator=4)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2, unique=True))
+        t = draw(st.sampled_from([rat(0), R1, rat(1, 2), rat(-2, 3), rat(3)]))
+        pts[-1] = tuple((1 - t) * a + t * b for a, b in zip(pts[i], pts[j]))
+    k = draw(st.integers(2, min(4, n)))
+    faces = draw(st.lists(st.sampled_from(list(combinations(range(n), k))), min_size=1, max_size=5))
+    K = build_complex(faces)
+    coeffs = {G: draw(st.fractions(-3, 3, max_denominator=5)) for G in K.faces_of_size(k)}
+    sv = StressVector(degree=k, coeffs={G: c for G, c in coeffs.items() if c})
+    return K, Embedding.build(d, dict(enumerate(pts))), k, sv
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_frameworks())
+def test_integer_assembly_matches_gram_oracles(case):
+    K, p, k, sv = case
+    assume(any(x.denominator > 1 for pt in p.coords.values() for x in pt))
+    for G in K.faces_of_size(k):
+        for v in G:
+            F = tuple(u for u in G if u != v)
+            got = outcome(altitude_vector, F, v, p)
+            assert got == outcome(gram_altitude, F, v, p) == outcome(schmidt_altitude, F, v, p)
+    R, O = outcome(rigidity_matrix, K, p, k), outcome(gram_rigidity_matrix, K, p, k)
+    if isinstance(O, RatMatrix):
+        assert_block_multiples(R, O, p.dim)
+    else:
+        assert R == O
+    assert outcome(balancing_residual, sv, K, p) == outcome(gram_balancing_residual, sv, K, p)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +615,29 @@ def test_power_stress_rejects(octahedron):
     # a vertex without coordinates is reported before the dependence test
     with pytest.raises(NotAVertex, match="^no coordinates for vertex 9$"):
         power_stress({0: R1, 9: R1}, 2, octahedron.complex, octahedron.embedding)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_power_stress_matches_fraction_oracle(data):
+    # powers of rational affine dependences on a rational embedding, and of
+    # forms that are not one, against the Fraction expansion
+    family, params = data.draw(st.sampled_from([("cyclic", dict(n=8, d=4)), ("cyclic", dict(n=9, d=6)), ("free_sum", dict(i=2, d=4))]))
+    P = instance(family, **params)
+    den = data.draw(st.integers(1, 3))
+    q = P.embedding.transformed([[rat(int(i == j), den) for j in range(P.d)] for i in range(P.d)], (rat(1, 2),) * P.d)
+    basis = stress_basis(P.complex, q, 1)
+    ws = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=len(basis), max_size=len(basis)))
+    phi = {}
+    for w, sv in zip(ws, basis):
+        for (v,), c in sv.coeffs.items():
+            phi[v] = phi.get(v, R0) + w * c
+    if data.draw(st.booleans()):
+        v = data.draw(st.sampled_from(P.complex.vertices))
+        phi[v] = phi.get(v, R0) + rat(1, 3)
+    k = data.draw(st.integers(1, 3))
+    got = outcome(power_stress, phi, k, P.complex, q)
+    assert got == outcome(fraction_power_stress, phi, k, P.complex, q)
 
 
 # ---------------------------------------------------------------------------
