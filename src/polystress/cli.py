@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import corpus
 from .detect import enumerate_missing_faces, probe_missing_faces
-from .errors import PolystressError
+from .errors import ParseError, PolystressError
 from .geometry import PolytopeInstance, validate
 from .rat import rat_str
 from .reconstruct import DiffReport, compare, run_pipeline
@@ -43,8 +43,13 @@ def _load(path: str) -> PolytopeInstance:
 
 
 def _load_raw(path: str) -> PolytopeInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return corpus.decode(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text at byte {e.start}") from None
+    return corpus.decode(text)
 
 
 def _face_str(F) -> str:

@@ -288,6 +288,15 @@ def decode(text: str) -> PolytopeInstance:
     if not isinstance(meta, dict):
         raise ParseError("meta: expected an object")
     K = build_complex(facets)
+    if len(K.facets) < len(facets):  # some entry repeats or lies inside another
+        first = {}
+        for idx, F in enumerate(facets):
+            if F in first:
+                raise ParseError(f"facets[{idx}]: repeats facets[{first[F]}]")
+            if F not in K.facets:
+                host = next(j for j, G in enumerate(facets) if F < G)
+                raise ParseError(f"facets[{idx}]: lies inside facets[{host}]")
+            first[F] = idx
     if set(K.vertices) != vert_set:
         raise ParseError("facets: some vertex appears in no facet")
     return PolytopeInstance(

@@ -89,16 +89,12 @@ def reconstruct_skeleton(skel: SimplicialComplex, basis, d: int, k: int) -> Simp
 def _avoiding_complex(vertices, missing_list, max_size: int) -> SimplicialComplex:
     """The sets of at most max_size vertices that contain no missing
     face.  Level s holds the extensions of level s-1 that are not
-    missing themselves; its facets are the sets no extension covers."""
+    missing themselves; the constructor keeps the sets no extension covers."""
     miss = {face_key(set(M)) for M in missing_list}
     levels = [{()} - miss]
     for _ in range(max_size):
         levels.append({S for S in extensions(levels[-1], vertices) if S not in miss})
-    facets = []
-    for level, above in zip(levels, levels[1:] + [set()]):
-        covered = {S[:j] + S[j + 1 :] for S in above for j in range(len(S))}
-        facets.extend(frozenset(S) for S in level - covered)
-    return SimplicialComplex(facets=frozenset(facets))
+    return SimplicialComplex(facets=[S for level in levels for S in level])
 
 
 def complete_prime(skelDK: SimplicialComplex, missing, d: int) -> SimplicialComplex:

@@ -1,9 +1,13 @@
 """Abstract simplicial complexes with integer vertex labels.
 
-A complex is stored by its facets (inclusionwise maximal faces); the
-faces of each size are cached as a set of sorted tuples on first use,
-so membership is a set lookup.  Subset-closed families of vertex sets
-are grown one vertex at a time by `extensions`, never by enumeration.
+A complex is stored by its facets (inclusionwise maximal faces).  The
+constructor keeps the maximal members of any generating set by shadows:
+walking the sizes down, S_s is {G - {v}} over the members and shadow
+sets G of size s + 1, i.e. the s-subsets of every larger member, and a
+member of size s is dominated exactly when it lies in S_s.  The faces
+of each size are cached as a set of sorted tuples on first use, so
+membership is a set lookup.  Subset-closed families of vertex sets are
+grown one vertex at a time by `extensions`, never by enumeration.
 
 Vertex labels are arbitrary nonnegative ints supplied by the caller.
 `vertex_index` maps them to dense positions 0..n-1 (sorted label
@@ -30,18 +34,31 @@ def face_key(F) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Immutable simplicial complex given by its facets.
+    """Immutable simplicial complex given by a generating set of faces.
 
-    Build through `build_complex`, which normalizes input and drops
-    dominated faces; the constructor only rejects an empty facet set.
+    The constructor checks the labels, rejects an empty collection and
+    keeps the maximal members by shadows (module docstring), so `facets`
+    is an antichain of frozensets whatever the caller passed.
     """
 
     facets: frozenset
     _face_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.facets:
+        by_size: dict[int, set] = {}
+        for F in map(frozenset, self.facets):
+            for v in F:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    raise InvalidComplex(f"vertex labels must be nonnegative ints, got {v!r}")
+            by_size.setdefault(len(F), set()).add(F)
+        if not by_size:
             raise InvalidComplex("a complex needs at least one face")
+        kept, shadow, low = [], set(), min(by_size)
+        for s in range(max(by_size), low - 1, -1):  # one size builds no shadow
+            members = by_size.get(s, set())
+            kept.extend(members - shadow)
+            shadow = {G - {v} for G in members | shadow for v in G} if s > low else shadow
+        object.__setattr__(self, "facets", frozenset(kept))
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -100,17 +117,9 @@ def build_complex(facets) -> SimplicialComplex:
     Dominated members are dropped, so any generating set of faces is
     accepted.  Vertex labels must be nonnegative ints and the
     collection must be nonempty (the complex {()} is allowed and is
-    the result of an empty facet).
+    the result of an empty facet).  The constructor does the work.
     """
-    norm = set()
-    for F in facets:
-        G = frozenset(F)
-        for v in G:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidComplex(f"vertex labels must be nonnegative ints, got {v!r}")
-        norm.add(G)
-    maximal = {F for F in norm if not any(F < G for G in norm)}
-    return SimplicialComplex(facets=frozenset(maximal))
+    return SimplicialComplex(facets=facets)
 
 
 def skeleton(K: SimplicialComplex, i: int) -> SimplicialComplex:
@@ -121,7 +130,7 @@ def skeleton(K: SimplicialComplex, i: int) -> SimplicialComplex:
         return K
     gens = {frozenset(F) for F in K.face_set(i + 1)}
     gens.update(F for F in K.facets if len(F) <= i)  # short facets survive
-    return SimplicialComplex(facets=frozenset(gens))  # already an antichain
+    return SimplicialComplex(facets=gens)
 
 
 def star_link(K: SimplicialComplex, F) -> tuple[SimplicialComplex, SimplicialComplex]:
@@ -130,7 +139,7 @@ def star_link(K: SimplicialComplex, F) -> tuple[SimplicialComplex, SimplicialCom
     if not K.has_face(F):
         raise NotAFace(f"{sorted(F)} is not a face")
     carrying = [G for G in K.facets if F <= G]
-    st = SimplicialComplex(facets=frozenset(carrying))
+    st = SimplicialComplex(facets=carrying)
     lk = build_complex([G - F for G in carrying])
     return st, lk
 

@@ -47,7 +47,7 @@ from polystress.errors import (
 from polystress.exactla import RatMatrix, dot, kernel_basis, rref, vec_sub
 from polystress.geometry import _hyperplane, _integer_points, _side, affine_rank
 from polystress.rat import R0, R1, rat
-from polystress.simplicial import build_complex, face_key, skeleton
+from polystress.simplicial import SimplicialComplex, face_key, skeleton
 from polystress.stress import (
     RigidityReport,
     StressVector,
@@ -343,6 +343,13 @@ def fraction_simplex(obj, A_ub=(), b_ub=(), A_eq=(), b_eq=()):
 # --- combinatorics by subset enumeration and facet scans
 
 
+def pairwise_maximal(faces):
+    """The inclusion-maximal members of a family, each compared with
+    every other: the reference for the constructor's shadow rule."""
+    norm = {frozenset(F) for F in faces}
+    return frozenset(F for F in norm if not any(F < G for G in norm))
+
+
 def scan_has_face(K, F):
     F = frozenset(F)
     return any(F <= G for G in K.facets)
@@ -367,7 +374,7 @@ def subset_avoiding_complex(vertices, missing_list, max_size):
         for S in combinations(vertices, size):
             if not any(m <= set(S) for m in miss):
                 faces.append(S)
-    return build_complex(faces)
+    return SimplicialComplex(facets=pairwise_maximal(faces))
 
 
 def subset_complete_prime(skelDK, missing, d):
@@ -403,7 +410,7 @@ def subset_complete_prime(skelDK, missing, d):
                     stack.append(j)
     if len(seen) != len(facets):
         raise CompletionFailure("facet dual graph is disconnected")
-    return build_complex(facets)
+    return SimplicialComplex(facets=pairwise_maximal(facets))
 
 
 def subset_sweep(skel, basis, d, k):

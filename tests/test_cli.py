@@ -210,6 +210,10 @@ def test_exit_2_on_bad_inputs(tmp_path, capsys):
     mangled.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "validate", str(mangled))
     assert code == 2 and err.startswith("error:")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"a": "\xc3\xa9\xff')
+    code, text, err = run(capsys, "validate", str(binary))
+    assert code == 2 and text == "" and err == f"error: {binary}: not UTF-8 text at byte 9\n"
     code, _, err = run(capsys, "gen", "cyclic", "--n", "4", "--d", "7", "-o", str(tmp_path / "x.json"))
     assert code == 2 and err.startswith("error:")
 

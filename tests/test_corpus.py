@@ -119,10 +119,19 @@ def good_doc():
     return corpus.encode(instance("simplex", d=3))
 
 
+def _plus_facets(text, *extra):
+    doc = json.loads(text)
+    doc["facets"] += extra
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "mangle,fragment",
     [
         (lambda t: t[:-3], "line"),
+        # the tetrahedron's facets are [[0,1,2],[0,1,3],[0,2,3],[1,2,3]]
+        (lambda t: _plus_facets(t, [3, 1, 0], [0]), "facets[4]: repeats facets[1]"),
+        (lambda t: _plus_facets(t, [0], [3, 1, 0]), "facets[4]: lies inside facets[0]"),
         (lambda t: t.replace('"dimension"', '"dim"'), "missing fields"),
         (lambda t: t.replace('"1"', '"9"', 1), "label not among vertices"),
         (lambda t: t.replace('"0"', '"x"', 1), "not an integer"),

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import instance
-from oracles import f_vector, g_vector, scan_has_face, subset_missing_faces
+from oracles import f_vector, g_vector, pairwise_maximal, scan_has_face, subset_missing_faces
+from polystress.corpus import _gale_facets
 from polystress.errors import InvalidArgument, InvalidComplex, NotAFace
 from polystress.simplicial import (
     SimplicialComplex,
@@ -36,6 +39,15 @@ def test_build_complex_rejects_bad_labels():
         build_complex([{"a"}])
     with pytest.raises(InvalidComplex):
         build_complex([])
+
+
+def test_constructor_normalizes_and_rejects_bad_labels():
+    K = SimplicialComplex(facets=[(1, 2, 3), [2, 3], {4}, (3, 2, 1), ()])
+    assert K.facets == frozenset({frozenset({1, 2, 3}), frozenset({4})})
+    assert K == build_complex([{4}, {1, 2, 3}])
+    for bad in ([{-1, 2}], [{1}, {True, 2}], [{"a"}], [(0.5,)]):
+        with pytest.raises(InvalidComplex, match="^vertex labels must be nonnegative ints, got "):
+            SimplicialComplex(facets=bad)
 
 
 def test_empty_complex_is_rejected():
@@ -137,6 +149,51 @@ def facet_family(draw):
     return [
         draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)) for _ in range(nf)
     ]
+
+
+@st.composite
+def generating_family(draw):
+    """Mixed sizes, the empty face, repeats in other containers, nested
+    chains, or a family of one size."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        size = draw(st.integers(0, min(n, 4)))
+        members = st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+    else:
+        members = st.sets(st.integers(0, n - 1), max_size=5)
+    family = draw(st.lists(members, min_size=1, max_size=8))
+    if draw(st.booleans()):  # every prefix of one member, the empty face included
+        top = sorted(draw(st.sampled_from(family)))
+        family += [set(top[:j]) for j in range(len(top))]
+    family += [tuple(F) for F in draw(st.lists(st.sampled_from(family), max_size=3))]
+    return draw(st.permutations(family))
+
+
+@settings(deadline=None, max_examples=300)
+@given(generating_family())
+def test_normalization_matches_pairwise_oracle(family):
+    want = pairwise_maximal(family)
+    assert build_complex(family).facets == want
+    assert SimplicialComplex(facets=family).facets == want
+    assert SimplicialComplex(facets=iter(family)).facets == want
+
+
+def test_normalization_matches_pairwise_oracle_on_cyclic_30_6():
+    # 3,250 Gale facets of one size, plus a dominated edge and a new one
+    family = [*map(set, _gale_facets(30, 6)), {1, 2}, {3, 31}]
+    K = build_complex(family)
+    assert K.facets == pairwise_maximal(family)
+    assert len(K.facets) == 3251
+
+
+def test_normalization_scales_to_cyclic_40_6():
+    # 8,400 Gale facets: comparing every pair of them takes seconds
+    facets = [set(S) for S in _gale_facets(40, 6)]
+    t0 = time.monotonic()
+    K = build_complex(facets)
+    elapsed = time.monotonic() - t0
+    assert len(K.facets) == 8400
+    assert elapsed < 1, f"took {elapsed:.2f}s"
 
 
 @settings(deadline=None, max_examples=80)
