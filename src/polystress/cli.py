@@ -49,7 +49,7 @@ def _load_raw(path: str) -> PolytopeInstance:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text at byte {e.start}") from None
-    return corpus.decode(text)
+    return corpus.decode(text.replace("\r\n", "\n").replace("\r", "\n"))  # as text mode reads it
 
 
 def _face_str(F) -> str:

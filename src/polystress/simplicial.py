@@ -1,12 +1,16 @@
 """Abstract simplicial complexes with integer vertex labels.
 
 A complex is stored by its facets (inclusionwise maximal faces).  The
-constructor keeps the maximal members of any generating set by shadows:
-walking the sizes down, S_s is {G - {v}} over the members and shadow
+constructor keeps the maximal members of any generating set.  It walks
+the sizes down by shadows: S_s is {G - {v}} over the members and shadow
 sets G of size s + 1, i.e. the s-subsets of every larger member, and a
-member of size s is dominated exactly when it lies in S_s.  The faces
-of each size are cached as a set of sorted tuples on first use, so
-membership is a set lookup.  Subset-closed families of vertex sets are
+member of size s is dominated exactly when it lies in S_s.  A shadow
+can hold exponentially many sets (one large member and one small), so
+the walk stops once S_s outnumbers the members still untested; those
+are then tested by intersecting, over their vertices, the sets of kept
+members that hold each vertex.  So the work stays polynomial in the
+members' number and sizes.  The faces of each size are cached as a set
+of sorted tuples on first use, so membership is a set lookup.  Subset-closed families of vertex sets are
 grown one vertex at a time by `extensions`, never by enumeration.
 
 Vertex labels are arbitrary nonnegative ints supplied by the caller.
@@ -37,7 +41,7 @@ class SimplicialComplex:
     """Immutable simplicial complex given by a generating set of faces.
 
     The constructor checks the labels, rejects an empty collection and
-    keeps the maximal members by shadows (module docstring), so `facets`
+    keeps the maximal members (module docstring), so `facets`
     is an antichain of frozensets whatever the caller passed.
     """
 
@@ -53,11 +57,23 @@ class SimplicialComplex:
             by_size.setdefault(len(F), set()).add(F)
         if not by_size:
             raise InvalidComplex("a complex needs at least one face")
-        kept, shadow, low = [], set(), min(by_size)
-        for s in range(max(by_size), low - 1, -1):  # one size builds no shadow
-            members = by_size.get(s, set())
+        kept, shadow, s = [], set(), max(by_size)
+        left = sum(map(len, by_size.values()))  # members not yet tested
+        while left and len(shadow) <= left:  # one size builds no shadow; see module docstring
+            members = by_size.pop(s, set())
             kept.extend(members - shadow)
-            shadow = {G - {v} for G in members | shadow for v in G} if s > low else shadow
+            left -= len(members)
+            shadow = {G - {v} for G in members | shadow for v in G} if left else shadow
+            s -= 1
+        holders: dict[int, set] = {}  # vertex -> positions in kept of the members holding it
+        for i, G in enumerate(kept if left else ()):
+            for v in G:
+                holders.setdefault(v, set()).add(i)
+        for F in sorted((F for level in by_size.values() for F in level), key=len, reverse=True):
+            if F and not set.intersection(*sorted((holders.get(v, set()) for v in F), key=len)):
+                for v in F:
+                    holders.setdefault(v, set()).add(len(kept))
+                kept.append(F)
         object.__setattr__(self, "facets", frozenset(kept))
 
     @cached_property

@@ -214,6 +214,10 @@ def test_exit_2_on_bad_inputs(tmp_path, capsys):
     binary.write_bytes(b'{"a": "\xc3\xa9\xff')
     code, text, err = run(capsys, "validate", str(binary))
     assert code == 2 and text == "" and err == f"error: {binary}: not UTF-8 text at byte 9\n"
+    old_mac = tmp_path / "old_mac.json"  # lone CR line ends count as lines, as in text mode
+    old_mac.write_bytes(b'{\r"a":\r\r}')
+    code, _, err = run(capsys, "validate", str(old_mac))
+    assert code == 2 and err.startswith("error: line 4 column 1:")
     code, _, err = run(capsys, "gen", "cyclic", "--n", "4", "--d", "7", "-o", str(tmp_path / "x.json"))
     assert code == 2 and err.startswith("error:")
 

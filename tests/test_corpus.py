@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 
 import pytest
@@ -148,6 +149,21 @@ def test_decode_rejects(mangle, fragment):
     with pytest.raises(ParseError) as err:
         corpus.decode(bad)
     assert fragment in str(err.value)
+
+
+def test_decode_rejects_a_small_facet_inside_a_large_one_fast():
+    doc = {
+        "dimension": 3,
+        "vertices": list(range(30)),
+        "coordinates": {str(v): ["0", "0", "0"] for v in range(30)},
+        "facets": [list(range(30)), [0]],
+        "meta": {},
+    }
+    t0 = time.monotonic()
+    with pytest.raises(ParseError, match=r"^facets\[1\]: lies inside facets\[0\]$"):
+        corpus.decode(json.dumps(doc))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1, f"took {elapsed:.2f}s"
 
 
 def _with(**fields):

@@ -1,7 +1,8 @@
 import time
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import instance
 from oracles import f_vector, g_vector, pairwise_maximal, scan_has_face, subset_missing_faces
@@ -165,12 +166,15 @@ def generating_family(draw):
     if draw(st.booleans()):  # every prefix of one member, the empty face included
         top = sorted(draw(st.sampled_from(family)))
         family += [set(top[:j]) for j in range(len(top))]
+    if draw(st.booleans()):  # down-closed, so the shadows run to the smallest size
+        family = [set(S) for F in family for j in range(len(F) + 1) for S in combinations(sorted(F), j)]
     family += [tuple(F) for F in draw(st.lists(st.sampled_from(family), max_size=3))]
     return draw(st.permutations(family))
 
 
 @settings(deadline=None, max_examples=300)
 @given(generating_family())
+@example([set(range(5)), {5, 6, 7}, {5, 6}])  # {5, 6} lies in a member kept after the shadows stop
 def test_normalization_matches_pairwise_oracle(family):
     want = pairwise_maximal(family)
     assert build_complex(family).facets == want
@@ -184,6 +188,16 @@ def test_normalization_matches_pairwise_oracle_on_cyclic_30_6():
     K = build_complex(family)
     assert K.facets == pairwise_maximal(family)
     assert len(K.facets) == 3251
+
+
+@pytest.mark.parametrize("small", [{0}, {39}, {40}, set()])
+def test_normalization_of_a_large_member_and_a_small_one_is_fast(small):
+    # the shadow of range(40) has 2^40 sets; the small member is tested directly
+    t0 = time.monotonic()
+    K = build_complex([range(40), small])
+    elapsed = time.monotonic() - t0
+    assert K.facets == pairwise_maximal([range(40), small])
+    assert elapsed < 1, f"took {elapsed:.2f}s"
 
 
 def test_normalization_scales_to_cyclic_40_6():
