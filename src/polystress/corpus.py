@@ -234,6 +234,8 @@ def decode(text: str) -> PolytopeInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer literal longer than int() converts
+        raise ParseError("top level: an integer has more digits than Python converts") from None
     except RecursionError:
         raise ParseError("top level: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):

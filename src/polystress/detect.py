@@ -33,7 +33,6 @@ from .geometry import (
     Embedding,
     PolytopeInstance,
     affine_rank,
-    caratheodory_reduce,
     segment_hull_meet,
     validate,
 )
@@ -213,6 +212,7 @@ def find_certificate(skel: SimplicialComplex, basis, M, F):
 def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
     """Candidate sets of size k+1 .. d-k+1 whose k-subsets are all
     faces, split into (certified minimal, admissible but uncertified).
+    Needs k >= 2 and d >= 2k.
 
     Candidates of each size are the extensions of the previous size's
     uncertified candidates (starting from the k-faces), so supersets of
@@ -221,6 +221,8 @@ def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
     """
     if k < 2:
         raise InvalidArgument("certificate sweeps need k >= 2")
+    if d < 2 * k:
+        raise InvalidArgument(f"need d >= 2k, got d={d}, k={k}")
     space = _stress_space(skel, basis, k)
     level = skel.face_set(k)
     certified: list[tuple] = []
@@ -311,36 +313,27 @@ def _component_of_b(K: SimplicialComplex, graph_adj, a: int, b: int):
 
 
 def _extend_independent(points: dict, core: list, pool: list, d: int, avoid_pt):
-    """Grow `core` to d affinely independent labels from `pool`, keeping
-    avoid_pt outside the affine hull of the result.  Greedy with a
-    one-swap repair; returns the extended list or None."""
+    """Grow `core` to d labels from `pool` with avoid_pt outside their
+    affine hull, or return None.
 
-    def independent(labels):
-        return affine_rank([points[c] for c in labels]) == len(labels) - 1
+    The label sets S with S + {avoid_pt} affinely independent are the
+    independent sets of a matroid (the affine matroid contracted by
+    avoid_pt), so one greedy pass in pool order reaches d labels
+    whenever any extension of the core does.  A core that fails the
+    test itself has no extension."""
+
+    def keeps_avoid_out(labels):
+        return affine_rank([points[c] for c in labels] + [avoid_pt]) == len(labels)
 
     chosen = list(core)
+    if not keeps_avoid_out(chosen):
+        return None
     for c in pool:
         if len(chosen) == d:
             break
-        if c in chosen:
-            continue
-        if independent(chosen + [c]):
+        if c not in chosen and keeps_avoid_out(chosen + [c]):
             chosen.append(c)
-    if len(chosen) < d:
-        return None
-    if affine_rank([points[c] for c in chosen] + [avoid_pt]) == d:
-        return chosen
-    # the hull of the greedy pick caught the forbidden point; try swaps
-    for out in chosen:
-        if out in core:
-            continue
-        for repl in pool:
-            if repl in chosen:
-                continue
-            trial = [c for c in chosen if c != out] + [repl]
-            if independent(trial) and affine_rank([points[c] for c in trial] + [avoid_pt]) == d:
-                return sorted(trial)
-    return None
+    return chosen if len(chosen) == d else None
 
 
 def missing_edge_stress(P: PolytopeInstance, a: int, b: int) -> StressVector:
@@ -407,9 +400,8 @@ def _edge_stress_high_dim(P: PolytopeInstance, graph: SimplicialComplex, a: int,
     meet = segment_hull_meet(p.point(a), p.point(b), C_points)
     if meet is None:
         raise RigidityFailure("connector hull misses the segment; input is not a polytope boundary")
-    _, mu = meet
-    mu = caratheodory_reduce(C_points, mu)
-    core = sorted(mu)
+    # mu is a basic solution, so its support is affinely independent
+    core = sorted(meet[1])
     Cp = _extend_independent(C_points, core, C, d, p.point(a))
     if Cp is None:
         raise RigidityFailure("no affinely independent connector extension avoids the apex hull")

@@ -478,8 +478,11 @@ def simplex(obj, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """Maximize obj . x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
     Returns (status, x, value) with status in {"optimal",
-    "infeasible"}.  The feasible problems this package builds are all
-    bounded; an unbounded one raises InternalArithmeticError.
+    "infeasible"}.  x is the final tableau's basic solution: every
+    nonzero entry is basic, so the columns of its support are linearly
+    independent (`segment_hull_meet` relies on this).  The feasible
+    problems this package builds are all bounded; an unbounded one
+    raises InternalArithmeticError.
     """
     return _solve(obj, A_ub, b_ub, A_eq, b_eq)[:3]
 

@@ -42,7 +42,7 @@ from .errors import (
     NotAVertex,
     NotSimplicial,
 )
-from .rat import R0, R1, Rat, rat, sign
+from .rat import R0, Rat, rat, sign
 from .simplicial import SimplicialComplex, face_key, star_link
 
 
@@ -323,7 +323,9 @@ def segment_hull_meet(a_pt, b_pt, C_points: dict):
     C_points maps labels to coordinate tuples.  Returns (s, mu) with
     the smallest segment parameter s in [0, 1] such that
     a + s(b - a) = sum mu_c p(c), mu a convex combination, or None
-    when hull and segment are disjoint.  Exact LP.
+    when hull and segment are disjoint.  Exact LP.  mu is the
+    simplex's basic solution: its columns (p(c), 1, 0) are linearly
+    independent, so the support of mu is affinely independent.
     """
     labels = sorted(C_points)
     if not labels:
@@ -346,34 +348,6 @@ def segment_hull_meet(a_pt, b_pt, C_points: dict):
         return None
     mu = {c: x[i] for i, c in enumerate(labels) if x[i] != 0}
     return x[-1], mu
-
-
-def caratheodory_reduce(points: dict, mu: dict):
-    """Shrink a convex representation to affinely independent support.
-
-    points maps labels to coordinates; mu is a convex-coefficient map
-    over a subset of them.  The represented point is preserved while
-    support points with dependent positions are eliminated one at a
-    time.  Returns the reduced coefficient map.
-    """
-    mu = {c: rat(w) for c, w in mu.items() if w != 0}
-    while True:
-        supp = sorted(mu)
-        # affine dependence: gamma with sum 0 and sum gamma_c p(c) = 0
-        rows = list(zip(*(points[c] for c in supp))) + [[R1] * len(supp)]
-        _, kern = exactla.kernel_basis(rows)
-        if not kern:  # affinely independent support, the empty one included
-            return mu
-        gamma = kern[0]
-        if all(g <= 0 for g in gamma):
-            gamma = [-g for g in gamma]
-        t = None
-        for c, g in zip(supp, gamma):
-            if g > 0:
-                cand = mu[c] / g
-                if t is None or cand < t:
-                    t = cand
-        mu = {c: mu[c] - t * g for c, g in zip(supp, gamma) if mu[c] - t * g != 0}
 
 
 def brute_force_facets(points: dict) -> frozenset:

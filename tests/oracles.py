@@ -25,9 +25,12 @@ elimination replaced, and full polynomials by direct differentiation
 with a kernel check and a solve on Fraction rows, and by the pairwise
 row assembly that poly_directional over theta's rows replaced,
 degree-1 recovery by expanding every 2-stress and differentiating the
-full polynomial, and missing-edge stresses by reading the rigidity
+full polynomial, missing-edge stresses by reading the rigidity
 kernel directly, as detect did before it took every stress from
-stress_basis.  Slow and simple on purpose.
+stress_basis, and the missing-edge connector pick by the Caratheodory
+reduction and the greedy pass with a one-swap repair that one matroid
+greedy over the LP's basic support replaced.  Slow and simple on
+purpose.
 """
 
 from fractions import Fraction
@@ -989,3 +992,64 @@ def kernel_edge_stress(carrier, p, ab):
         if vec[j] != 0:
             return len(kern), StressVector.from_vector(2, R.col_labels, vec).scaled(R1 / vec[j])
     return len(kern), None
+
+
+def caratheodory_reduce(points: dict, mu: dict):
+    """Shrink a convex representation to affinely independent support.
+
+    points maps labels to coordinates; mu is a convex-coefficient map
+    over a subset of them.  The represented point is preserved while
+    support points with dependent positions are eliminated one at a
+    time.  Returns the reduced coefficient map.
+    """
+    mu = {c: rat(w) for c, w in mu.items() if w != 0}
+    while True:
+        supp = sorted(mu)
+        # affine dependence: gamma with sum 0 and sum gamma_c p(c) = 0
+        rows = list(zip(*(points[c] for c in supp))) + [[R1] * len(supp)]
+        _, kern = kernel_basis(rows)
+        if not kern:  # affinely independent support, the empty one included
+            return mu
+        gamma = kern[0]
+        if all(g <= 0 for g in gamma):
+            gamma = [-g for g in gamma]
+        t = None
+        for c, g in zip(supp, gamma):
+            if g > 0:
+                cand = mu[c] / g
+                if t is None or cand < t:
+                    t = cand
+        mu = {c: mu[c] - t * g for c, g in zip(supp, gamma) if mu[c] - t * g != 0}
+
+
+def swap_extend(points: dict, core: list, pool: list, d: int, avoid_pt):
+    """Grow `core` to d affinely independent labels from `pool`, keeping
+    avoid_pt outside the affine hull of the result.  Greedy with a
+    one-swap repair; returns the extended list or None."""
+
+    def independent(labels):
+        return affine_rank([points[c] for c in labels]) == len(labels) - 1
+
+    chosen = list(core)
+    for c in pool:
+        if len(chosen) == d:
+            break
+        if c in chosen:
+            continue
+        if independent(chosen + [c]):
+            chosen.append(c)
+    if len(chosen) < d:
+        return None
+    if affine_rank([points[c] for c in chosen] + [avoid_pt]) == d:
+        return chosen
+    # the hull of the greedy pick caught the forbidden point; try swaps
+    for out in chosen:
+        if out in core:
+            continue
+        for repl in pool:
+            if repl in chosen:
+                continue
+            trial = [c for c in chosen if c != out] + [repl]
+            if independent(trial) and affine_rank([points[c] for c in trial] + [avoid_pt]) == d:
+                return sorted(trial)
+    return None

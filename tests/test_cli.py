@@ -55,13 +55,16 @@ def test_validate_ok(tmp_path, capsys):
     assert all(ln.startswith("ok  ") for ln in lines[:-1])
 
 
-def test_validate_catches_bad_geometry(tmp_path, capsys):
+def _collapsed_octahedron():
     P = corpus.generate("cross", d=3)
     coords = dict(P.embedding.coords)
     coords[0] = (rat(0), rat(0), rat(0))  # collapses onto the centroid
-    bad = PolytopeInstance(complex=P.complex, embedding=Embedding(dim=3, coords=coords), d=3, meta=P.meta)
+    return PolytopeInstance(complex=P.complex, embedding=Embedding(dim=3, coords=coords), d=3, meta=P.meta)
+
+
+def test_validate_catches_bad_geometry(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(corpus.encode(bad), encoding="utf-8")
+    path.write_text(corpus.encode(_collapsed_octahedron()), encoding="utf-8")
     code, text, _ = run(capsys, "validate", str(path))
     assert code == 1
     assert "FAIL" in text
@@ -220,6 +223,18 @@ def test_exit_2_on_bad_inputs(tmp_path, capsys):
     assert code == 2 and err.startswith("error: line 4 column 1:")
     code, _, err = run(capsys, "gen", "cyclic", "--n", "4", "--d", "7", "-o", str(tmp_path / "x.json"))
     assert code == 2 and err.startswith("error:")
+    long_int = tmp_path / "long_int.json"  # past int()'s digit limit
+    doc = corpus.encode(corpus.generate("simplex", d=3)).replace('"dimension": 3', '"dimension": ' + "3" * 5000)
+    long_int.write_text(doc, encoding="utf-8")
+    code, text, err = run(capsys, "validate", str(long_int))
+    assert (code, text, err) == (2, "", "error: top level: an integer has more digits than Python converts\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(corpus.encode(_collapsed_octahedron()), encoding="utf-8")
+    code, text, err = run(capsys, "stress", str(bad), "--k", "2")
+    assert (code, text) == (2, "")
+    assert err == f"error: {bad}: instance fails validation (supporting_hyperplanes, hull_facets_match)\n"
+    code, text, err = run(capsys, "missing", write_instance(tmp_path, "c74.json", "cyclic", n=7, d=4), "--k", "3")
+    assert (code, text, err) == (2, "", "error: need d >= 2k, got d=4, k=3\n")
 
 
 @pytest.mark.parametrize("field,value", [("dimension", True), ("vertices", [False, True, 2, 3])])

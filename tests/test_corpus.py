@@ -120,6 +120,16 @@ def good_doc():
     return corpus.encode(instance("simplex", d=3))
 
 
+LONG_INT = "9" * 5000  # past int()'s digit limit, where json.loads raises a ValueError that is no JSONDecodeError
+TET_COORDS = {"0": ["0", "0", "0"], "1": ["1", "0", "0"], "2": ["0", "1", "0"], "3": ["0", "0", "1"]}
+
+
+def _set(text, **fields):
+    doc = json.loads(text)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
 def _plus_facets(text, *extra):
     doc = json.loads(text)
     doc["facets"] += extra
@@ -141,6 +151,25 @@ def _plus_facets(text, *extra):
         (lambda t: t.replace("[\n   1,\n   2,\n   3\n  ]", "[\n   1,\n   2,\n   9\n  ]"), "outside the vertex list"),
         # coordinate keys are the plain decimal text of a label, nothing int() also reads
         *[(lambda t, k=k: t.replace('"3": [', f'"{k}": [', 1), f"coordinates[{k!r}]") for k in ("1_0", " 3", "\u0663", "03", "+3")],
+        (lambda t: _set(t, extra=1), "top level: unknown fields ['extra']"),
+        (lambda t: _set(t, vertices=[0, 1, 2, 2]), "vertices: duplicate labels"),
+        (lambda t: _set(t, coordinates=[]), "coordinates: expected an object"),
+        (lambda t: _set(t, coordinates={**TET_COORDS, "3": ["0", "0"]}), "coordinates['3']: expected 3 entries"),
+        (lambda t: _set(t, coordinates={**TET_COORDS, "3": "0"}), "coordinates['3']: expected 3 entries"),
+        (
+            lambda t: _set(t, coordinates={v: TET_COORDS[v] for v in "012"}),
+            "coordinates: labels do not cover the vertex list",
+        ),
+        (lambda t: _set(t, facets=[]), "facets: expected a nonempty list"),
+        (lambda t: _set(t, facets={"0": [0, 1, 2]}), "facets: expected a nonempty list"),
+        (lambda t: _set(t, facets=[[0, 1, 1], [0, 2, 3]]), "facets[0]: repeated vertex"),
+        (lambda t: _set(t, meta=[]), "meta: expected an object"),
+        (
+            lambda t: _set(t, vertices=[0, 1, 2, 3, 4], coordinates={**TET_COORDS, "4": ["1", "1", "1"]}),
+            "facets: some vertex appears in no facet",
+        ),
+        (lambda t: t.replace('"dimension": 3', '"dimension": ' + LONG_INT), "top level: an integer has"),
+        (lambda t: t.replace('"vertices": [\n  0', '"vertices": [\n  ' + LONG_INT), "top level: an integer has"),
     ],
 )
 def test_decode_rejects(mangle, fragment):
@@ -166,12 +195,6 @@ def test_decode_rejects_a_small_facet_inside_a_large_one_fast():
     assert elapsed < 1, f"took {elapsed:.2f}s"
 
 
-def _with(**fields):
-    doc = json.loads(good_doc())
-    doc.update(fields)
-    return json.dumps(doc)
-
-
 @pytest.mark.parametrize(
     "fields,where",
     [
@@ -182,7 +205,7 @@ def _with(**fields):
 )
 def test_decode_rejects_bools(fields, where):
     with pytest.raises(ParseError) as err:
-        corpus.decode(_with(**fields))
+        corpus.decode(_set(good_doc(), **fields))
     assert str(err.value).startswith(where)
 
 

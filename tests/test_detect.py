@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import instance
 from oracles import (
@@ -7,6 +10,7 @@ from oracles import (
     kernel_edge_stress,
     sign_system_feasible,
     subset_sweep,
+    swap_extend,
 )
 from polystress import detect, exactla
 from polystress.detect import (
@@ -34,7 +38,7 @@ from polystress.errors import (
     PolystressError,
 )
 from polystress.exactla import rref
-from polystress.geometry import Embedding, PolytopeInstance
+from polystress.geometry import Embedding, PolytopeInstance, affine_rank
 from polystress.rat import R0, R1, rat
 from polystress.simplicial import build_complex, missing_faces, skeleton
 from polystress.stress import StressVector, balancing_residual, power_stress, stress_basis
@@ -129,6 +133,68 @@ def test_missing_edge_stress_matches_kernel_oracle_on_corpus(full_corpus, monkey
                 assert P.d > 3 or dim == 1
                 seen.add(P.d)
     assert seen == {3, 4, 5}
+
+
+def _greedy_first_pass(points, core, pool, d):
+    """swap_extend's first pass: labels kept by affine independence alone."""
+    chosen = list(core)
+    for c in pool:
+        if len(chosen) < d and c not in chosen and affine_rank([points[x] for x in chosen + [c]]) == len(chosen):
+            chosen.append(c)
+    return chosen
+
+
+def _avoids(points, labels, avoid_pt):
+    return affine_rank([points[c] for c in labels] + [avoid_pt]) == len(labels)
+
+
+def _extension_exists(points, core, pool, d, avoid_pt):
+    rest = [c for c in pool if c not in core]
+    return any(_avoids(points, core + list(T), avoid_pt) for T in combinations(rest, d - len(core)))
+
+
+def _extension_cases(d):
+    """(d, points, core, avoid_pt): a core of at most d of the points' labels."""
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    return st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(d),
+            st.lists(point, min_size=n, max_size=n),
+            st.lists(st.integers(0, n - 1), max_size=d, unique=True),
+            point,
+        )
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 4).flatmap(_extension_cases))
+def test_extend_independent_is_a_complete_greedy(case):
+    d, pts, core, avoid_pt = case
+    points = dict(enumerate(pts))
+    pool = sorted(points)
+    got = detect._extend_independent(points, core, pool, d, avoid_pt)
+    exists = _extension_exists(points, core, pool, d, avoid_pt)
+    assert (got is not None) == exists
+    if got is not None:
+        assert got[: len(core)] == core and len(got) == d == len(set(got))
+        assert set(got) <= set(pool) and _avoids(points, got, avoid_pt)
+    old = swap_extend(points, core, pool, d, avoid_pt)
+    if old is not None:
+        assert exists
+        first = _greedy_first_pass(points, core, pool, d)
+        if _avoids(points, first, avoid_pt):  # no swap was needed
+            assert old == first == got
+
+
+def test_extend_independent_needs_no_swap_where_the_first_pass_traps_the_apex():
+    # the first pass keeps 1, on the line through 0 and p(a); only the
+    # oracle's swap of 1 for 2 rescues it, and the greedy skips 1 outright
+    points = {0: (0, 0), 1: (2, 0), 2: (0, 2)}
+    avoid_pt = (1, 0)
+    assert _greedy_first_pass(points, [0], [0, 1, 2], 2) == [0, 1]
+    assert not _avoids(points, [0, 1], avoid_pt)
+    assert swap_extend(points, [0], [0, 1, 2], 2, avoid_pt) == [0, 2]
+    assert detect._extend_independent(points, [0], [0, 1, 2], 2, avoid_pt) == [0, 2]
 
 
 def test_missing_edge_sign_system_agrees_with_fm_oracle():
@@ -317,6 +383,16 @@ def test_certificate_sweep_soundness_cross():
     assert set(open_) == set(P.complex.faces_of_size(3)) and len(open_) == 32
     with pytest.raises(InvalidArgument):
         certificate_sweep(skel, basis, 4, 1)
+
+
+def test_sweeps_reject_d_below_2k():
+    # the size window k+1 .. d-k+1 is empty, which must not read as "no missing faces"
+    P = instance("cyclic", n=7, d=4)
+    skel = skeleton(P.complex, 2)
+    basis = stress_basis(skel, P.embedding, 3)
+    for sweep in (certificate_sweep, enumerate_missing_faces):
+        with pytest.raises(InvalidArgument, match=r"^need d >= 2k, got d=4, k=3$"):
+            sweep(skel, basis, 4, 3)
 
 
 def test_certificate_sweep_matches_subset_oracle_on_corpus(full_corpus):

@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import instance
 from oracles import (
+    caratheodory_reduce,
     fraction_brute_force_facets,
     fraction_facet_normal,
     fraction_validate_checks,
@@ -14,7 +16,6 @@ from oracles import (
     gram_altitude,
     kernel_brute_force_facets,
 )
-from polystress import geometry
 from polystress.errors import (
     DegenerateEmbedding,
     DegenerateFace,
@@ -30,7 +31,6 @@ from polystress.geometry import (
     affine_rank,
     altitude_vector,
     brute_force_facets,
-    caratheodory_reduce,
     facet_normal,
     quotient,
     segment_hull_meet,
@@ -244,6 +244,31 @@ def test_segment_hull_meet_midpoint():
     assert mu == {7: R1}
 
 
+segment_cases = st.integers(2, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=7),
+        st.tuples(*[st.integers(-3, 3)] * d),
+        st.tuples(*[st.integers(-3, 3)] * d),
+    )
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(segment_cases)
+def test_segment_hull_meet_support_is_affinely_independent(case):
+    # the simplex returns a basic solution: every nonzero mu_c is basic, and
+    # mu_c's column is (p(c), 1, 0), so the support is affinely independent
+    # and the Caratheodory reduction has nothing left to remove
+    pts, a, b = case
+    C = dict(enumerate(pts))
+    hit = segment_hull_meet(a, b, C)
+    if hit is None:
+        return
+    _, mu = hit
+    assert affine_rank([C[c] for c in mu]) == len(mu) - 1
+    assert caratheodory_reduce(C, mu) == mu
+
+
 def test_caratheodory_reduce():
     pts = {0: (0, 0), 1: (2, 0), 2: (0, 2), 3: (2, 2)}
     mu = {c: Rat(1, 4) for c in pts}
@@ -257,7 +282,7 @@ def test_caratheodory_reduce():
 
 
 def test_caratheodory_reduce_keeps_independent_supports(monkeypatch):
-    monkeypatch.setattr(geometry, "affine_rank", None)  # one kernel per round decides
+    monkeypatch.setattr(oracles, "affine_rank", None)  # one kernel per round decides
     pts = {0: (0, 0), 1: (2, 0), 2: (0, 2), 3: (2, 2)}
     assert caratheodory_reduce(pts, {}) == {}
     assert caratheodory_reduce(pts, {0: 0, 1: Rat(0)}) == {}
