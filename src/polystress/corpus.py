@@ -24,7 +24,7 @@ import random
 from . import exactla
 from .errors import InvalidArgument, ParseError
 from .geometry import Embedding, PolytopeInstance, facet_normal, validate
-from .rat import R0, R1, parse_rat, rat, rat_str
+from .rat import R0, R1, elided, parse_rat, rat, rat_str
 from .simplicial import build_complex, face_key
 
 __all__ = [
@@ -264,7 +264,8 @@ def decode(text: str) -> PolytopeInstance:
         try:
             v = int(key)
         except ValueError:
-            raise ParseError(f"coordinates[{key!r}]: label is not an integer") from None
+            what = "has too many digits" if key.isascii() and key.isdigit() else "is not an integer"
+            raise ParseError(f"coordinates[{elided(key)}]: label {what}") from None
         if key != str(v):
             raise ParseError(f"coordinates[{key!r}]: label is not plain decimal text")
         if v not in vert_set:

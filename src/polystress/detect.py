@@ -209,6 +209,34 @@ def find_certificate(skel: SimplicialComplex, basis, M, F):
     return _feasible_certificate(k, space, skel, M, F)
 
 
+def _local_span(space, skel, F):
+    """The stress space projected onto star(F)'s coordinates.
+
+    Returns ({u: local column of F+u}, rows, rays): the columns are the
+    faces F+u of the carrier, `rows` is the integerized `exactla.rref`
+    of the basis restricted to them, which spans pi_F(L) for
+    L = span(basis), and `rays` is this span's own Farkas-ray list.
+    """
+    _, index, vectors, _ = space
+    Fset = set(F)
+    cols, star_cols = {}, []
+    for u in skel.vertices:
+        j = None if u in Fset else index.get(face_key(Fset | {u}))
+        if j is not None:
+            cols[u] = len(star_cols)
+            star_cols.append(j)
+    _, rows = exactla.rref([[B[j] for j in star_cols] for B in vectors])
+    return cols, [exactla._integerize(r) for r in rows], []
+
+
+def _locally_feasible(local, M, F) -> bool:
+    """`_feasible_certificate(...) is not None`, asked over `_local_span(space, skel, F)`."""
+    cols, rows, rays = local
+    strict = [cols[v] for v in M if v not in F]
+    weak = [j for u, j in cols.items() if u not in M]
+    return exactla.strict_feasible(rows, strict, weak, rays) is not None
+
+
 def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
     """Candidate sets of size k+1 .. d-k+1 whose k-subsets are all
     faces, split into (certified minimal, admissible but uncertified).
@@ -218,12 +246,31 @@ def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
     uncertified candidates (starting from the k-faces), so supersets of
     certified sets are never tried and the first list holds the minimal
     certified elements in (size, lex) order.
+
+    Each query (M, F) reads only the coordinates F+u, so it runs over
+    the projection pi_F(L) of L = span(basis) onto them, built once per
+    base face by `_local_span`: x in L meets the sign conditions iff
+    pi_F(x) does, so the verdict is the global LP's, over 2 r_F + 1
+    structural columns instead of 2 dim L + 1.  A Farkas ray w
+    orthogonal to pi_F(L), padded with zeros, is orthogonal to L, so
+    `strict_feasible`'s exact check of w against the local rows keeps
+    every skip certified; rays are kept per base face, in its local
+    columns.  The rref of a span is unique, so the LPs depend on L and
+    not on the basis chosen for it.  An empty basis certifies nothing
+    and builds no span.
     """
     if k < 2:
         raise InvalidArgument("certificate sweeps need k >= 2")
     if d < 2 * k:
         raise InvalidArgument(f"need d >= 2k, got d={d}, k={k}")
     space = _stress_space(skel, basis, k)
+    local = {}
+
+    def certifies(M, F):
+        if F not in local:
+            local[F] = _local_span(space, skel, F)
+        return _locally_feasible(local[F], M, F)
+
     level = skel.face_set(k)
     certified: list[tuple] = []
     open_candidates: list[tuple] = []
@@ -231,7 +278,7 @@ def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
         grown = set()
         for M in extensions(level, skel.vertices):
             if not skel.has_face(M):  # a visible face has nothing to certify
-                if any(_feasible_certificate(k, space, skel, M, F) for F in combinations(M, k - 1)):
+                if space[2] and any(certifies(M, F) for F in combinations(M, k - 1)):
                     certified.append(M)
                     continue  # no superset of M is a candidate
                 open_candidates.append(M)

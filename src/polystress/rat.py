@@ -42,6 +42,15 @@ def rat_str(x) -> str:
     return f"{n}/{d}"
 
 
+def elided(text: str) -> str:
+    """repr(text), or for a text over 24 characters the repr of its
+    first and last 8 around "..." and its length, so an error line
+    that quotes it stays short."""
+    if len(text) <= 24:
+        return repr(text)
+    return repr(f"{text[:8]}...{text[-8:]}") + f" ({len(text)} characters)"
+
+
 def parse_rat(text: str, where: str = "") -> Rat:
     """Parse "p" or "p/q" (ASCII digits, "-" only in front), q nonzero.
 
@@ -53,7 +62,8 @@ def parse_rat(text: str, where: str = "") -> Rat:
     try:
         num, den = int(m[1]), int(m[2] or 1)
     except (TypeError, ValueError):  # no match, or more digits than int() takes
-        raise ParseError(f"{where}: malformed rational {text!r}") from None
+        what = "malformed rational" if m is None else "too many digits in rational"
+        raise ParseError(f"{where}: {what} {elided(text)}") from None
     if den == 0:
         raise ParseError(f"{where}: zero denominator in {text!r}")
     return Rat(num, den)

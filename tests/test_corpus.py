@@ -121,6 +121,7 @@ def good_doc():
 
 
 LONG_INT = "9" * 5000  # past int()'s digit limit, where json.loads raises a ValueError that is no JSONDecodeError
+LONG_KEY = "7" * 5000
 TET_COORDS = {"0": ["0", "0", "0"], "1": ["1", "0", "0"], "2": ["0", "1", "0"], "3": ["0", "0", "1"]}
 
 
@@ -170,6 +171,10 @@ def _plus_facets(text, *extra):
         ),
         (lambda t: t.replace('"dimension": 3', '"dimension": ' + LONG_INT), "top level: an integer has"),
         (lambda t: t.replace('"vertices": [\n  0', '"vertices": [\n  ' + LONG_INT), "top level: an integer has"),
+        # well-formed numbers too long for int(): named as such, with the digits elided
+        (lambda t: t.replace('"3": [', f'"{LONG_KEY}": [', 1), "coordinates['77777777...77777777' (5000 characters)]: label has too many digits"),
+        (lambda t: t.replace('"0",', f'"{LONG_KEY}",', 1), "too many digits in rational '77777777...77777777' (5000 characters)"),
+        (lambda t: t.replace('"0",', f'"1/{LONG_KEY}",', 1), "too many digits in rational '1/777777...77777777' (5002 characters)"),
     ],
 )
 def test_decode_rejects(mangle, fragment):
@@ -178,6 +183,7 @@ def test_decode_rejects(mangle, fragment):
     with pytest.raises(ParseError) as err:
         corpus.decode(bad)
     assert fragment in str(err.value)
+    assert len(str(err.value)) < 100, str(err.value)[:200]
 
 
 def test_decode_rejects_a_small_facet_inside_a_large_one_fast():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -404,46 +405,104 @@ def test_certificate_sweep_matches_subset_oracle_on_corpus(full_corpus):
         assert certificate_sweep(skel, basis, P.d, 2) == subset_sweep(skel, basis, P.d, 2), P.meta
 
 
-def test_certificate_sweep_farkas_rays_match_one_lp_per_pattern_on_corpus(full_corpus, monkeypatch):
-    # every sweep at k = 2 and 3 with its space's Farkas rays, then with an
-    # LP for every sign pattern: the lists and every certificate on the way
-    # agree, each certificate is find_certificate's, and LPs were skipped
-    real_space, real_cert, real_solve = detect._stress_space, detect._feasible_certificate, exactla._solve
+def corpus_sweeps(corpus):
+    """(P, k, skel, basis) for every sweep at k = 2 and 3 over the corpus."""
+    for P in corpus:
+        for k in (2, 3):
+            if P.d < 2 * k:  # no candidate size between k + 1 and d - k + 1
+                continue
+            skel = skeleton(P.complex, k - 1)
+            yield P, k, skel, stress_basis(skel, P.embedding, k)
+
+
+def spy_sweep(monkeypatch):
+    """certificate_sweep that also returns each (M, F, verdict) its local
+    LPs gave and the number of LPs run, with the given `_local_span`."""
+    real_span, real_local, real_solve = detect._local_span, detect._locally_feasible, exactla._solve
     found, lps = [], [0]
 
-    def cert_spy(k, space, skel, M, F):
-        found.append((M, F, real_cert(k, space, skel, M, F)))
+    def local_spy(local, M, F):
+        found.append((M, F, real_local(local, M, F)))
         return found[-1][2]
 
     def solve_spy(*args):
         lps[0] += 1
         return real_solve(*args)
 
-    monkeypatch.setattr(detect, "_feasible_certificate", cert_spy)
+    monkeypatch.setattr(detect, "_locally_feasible", local_spy)
     monkeypatch.setattr(exactla, "_solve", solve_spy)
 
-    def sweep(skel, basis, d, k, space):
-        monkeypatch.setattr(detect, "_stress_space", space)
+    def sweep(skel, basis, d, k, span=real_span):
+        monkeypatch.setattr(detect, "_local_span", span)
         found.clear()
         lps[0] = 0
         return certificate_sweep(skel, basis, d, k), found[:], lps[0]
 
+    return sweep
+
+
+def test_certificate_sweep_farkas_rays_match_one_lp_per_pattern_on_corpus(full_corpus, monkeypatch):
+    # every sweep at k = 2 and 3 with each base face's Farkas rays, then
+    # with an LP for every sign pattern: the lists and every local verdict
+    # on the way agree, and LPs were skipped
+    sweep = spy_sweep(monkeypatch)
+    real_span = detect._local_span
     with_rays = without = 0
-    for P in full_corpus:
-        for k in (2, 3):
-            if P.d < 2 * k:  # no candidate size between k + 1 and d - k + 1
-                continue
-            skel = skeleton(P.complex, k - 1)
-            basis = stress_basis(skel, P.embedding, k)
-            lists, certs, ran = sweep(skel, basis, P.d, k, real_space)
-            plain = sweep(skel, basis, P.d, k, lambda *a: (*real_space(*a)[:3], None))
-            assert (lists, certs) == plain[:2], (P.meta, k)
-            for M, F, cert in certs:
-                if cert is not None:
-                    assert find_certificate(skel, basis, M, F) == cert
-            with_rays += ran
-            without += plain[2]
+    for P, k, skel, basis in corpus_sweeps(full_corpus):
+        lists, verdicts, ran = sweep(skel, basis, P.d, k)
+        plain = sweep(skel, basis, P.d, k, lambda *a: (*real_span(*a)[:2], None))
+        assert (lists, verdicts) == plain[:2], (P.meta, k)
+        with_rays += ran
+        without += plain[2]
     assert 0 < with_rays < without
+
+
+def test_certificate_sweep_local_verdicts_match_the_global_lp_on_corpus(full_corpus, monkeypatch):
+    # each query the sweep asks over pi_F(L) gets the answer of the LP
+    # over the whole basis
+    sweep = spy_sweep(monkeypatch)
+    asked = 0
+    for P, k, skel, basis in corpus_sweeps(full_corpus):
+        _, verdicts, _ = sweep(skel, basis, P.d, k)
+        space = (*detect._stress_space(skel, basis, k)[:3], None)
+        for M, F, verdict in verdicts:
+            assert verdict == (detect._feasible_certificate(k, space, skel, M, F) is not None), (P.meta, M, F)
+        asked += len(verdicts)
+    assert asked > 1000
+
+
+def _unimodular(g, rng):
+    """A random g x g integer matrix of determinant +-1."""
+    U = [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(3 * g):
+        i, j = rng.sample(range(g), 2) if g > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        if rng.random() < 0.3:
+            U[i] = [-a for a in U[i]]
+    return U
+
+
+def test_certificate_sweep_depends_only_on_the_span(full_corpus, monkeypatch):
+    # a unimodular change of basis keeps both lists, their order and the
+    # LP count: the rref of a span is unique, so every local LP is the same
+    sweep = spy_sweep(monkeypatch)
+    rng = random.Random(26)
+    changed = 0
+    for P, k, skel, basis in corpus_sweeps(full_corpus):
+        if not basis:
+            continue
+        order = skel.faces_of_size(k)
+        vecs = [b.as_vector(order) for b in basis]
+        mixed = []
+        for row in _unimodular(len(basis), rng):
+            vec = [sum(c * v[i] for c, v in zip(row, vecs)) for i in range(len(order))]
+            mixed.append(StressVector.from_vector(k, order, vec))
+        changed += mixed != basis
+        lists, _, ran = sweep(skel, basis, P.d, k)
+        assert sweep(skel, mixed, P.d, k)[::2] == (lists, ran), (P.meta, k)
+    assert changed > 10
 
 
 # ---------------------------------------------------------------------------

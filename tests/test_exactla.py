@@ -559,6 +559,21 @@ def test_strict_feasible_with_shared_rays_matches_fresh_lps_and_oracle(problem):
         assert not sign_system_feasible(exact, sorted(pos), sorted(neg))
 
 
+@settings(deadline=None, max_examples=200)
+@given(sign_problem())
+@example(([[1, 1, 0], [0, 1, 1]], [0], [2]))  # restricted to two columns, the span is all of Q^2
+@example(([[0, 0, 1]], [0], [1]))  # the restriction is zero: no rref rows
+def test_strict_feasible_over_the_projected_span_agrees(problem):
+    # the sweep's local LP: the same query over the rref of the basis
+    # restricted to strict + weak, in those columns' positions
+    basis, strict, weak = problem
+    cols = sorted(strict + weak)
+    at = {c: i for i, c in enumerate(cols)}
+    _, rows = rref([[row[c] for c in cols] for row in basis])
+    local = strict_feasible([exactla._integerize(r) for r in rows], [at[i] for i in strict], [at[j] for j in weak])
+    assert (local is None) == (strict_feasible(basis, strict, weak) is None)
+
+
 def test_strict_feasible_rejects_a_ray_off_the_basis(monkeypatch):
     # a corrupted objective row gives a w with w . b != 0: the exact check
     # raises before the ray is stored

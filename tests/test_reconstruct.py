@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import instance
 from oracles import subset_avoiding_complex, subset_complete_prime
+from polystress import detect, exactla
 from polystress.errors import CompletionFailure, InvalidArgument, InvalidComplex, ReconstructionFailure
 from polystress.reconstruct import (
     DiffReport,
@@ -168,6 +171,29 @@ def test_pipeline_stacked_stops_at_skeleton():
     assert rep.completion is None
     assert rep.missing_by_dim == {1: ((3, 6), (4, 5), (4, 6))}
     assert rep.diff is not None and rep.diff.equal  # skeletons still agree
+
+
+def test_pipeline_k3_cyclic_12_6_within_time():
+    # every sweep LP runs over a local span of at most |star(F)| columns
+    P = instance("cyclic", n=12, d=6)
+    skel, basis = pipeline_inputs(P, k=3)
+    t0 = time.monotonic()
+    rep = run_pipeline(skel, basis, 6, 3, prime=True)
+    elapsed = time.monotonic() - t0
+    assert rep.completion == P.complex
+    assert elapsed < 3, f"took {elapsed:.2f}s"
+
+
+def test_pipeline_with_no_stresses_builds_no_local_span_and_runs_no_lp(monkeypatch):
+    S = instance("stacked", d=4, steps=2, seed=2)
+    skel, basis = pipeline_inputs(S)
+    assert basis == []  # g_2 = 0
+    calls = []
+    monkeypatch.setattr(detect, "_local_span", lambda *a: calls.append("span"))
+    monkeypatch.setattr(exactla, "_solve", lambda *a: calls.append("lp"))
+    rep = run_pipeline(skel, basis, 4, 2, truth=S.complex)
+    assert rep.diff.equal
+    assert calls == []
 
 
 def _vertices(*labels):
