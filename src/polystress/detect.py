@@ -44,8 +44,6 @@ from .simplicial import (
     face_key,
     link,
     missing_faces,
-    skeleton,
-    star,
 )
 from .stress import (
     StressVector,
@@ -76,16 +74,17 @@ class Certificate:
     pattern: dict
 
 
-def _pattern_for(sv: StressVector, carrier_faces, F, vertices) -> dict:
+def _star(F, vertices, faces) -> dict:
+    """{u: F+u} over the vertices u outside F whose F+u is in `faces`
+    (sorted tuples), in the order of `vertices`."""
     Fset = set(F)
-    out = {}
+    star = {}
     for u in vertices:
-        if u in Fset:
-            continue
-        S = face_key(Fset | {u})
-        if S in carrier_faces:
-            out[S] = sv.sign(S)
-    return out
+        if u not in Fset:
+            S = face_key(Fset | {u})
+            if S in faces:
+                star[u] = S
+    return star
 
 
 def certificate_check(cert: Certificate, K: SimplicialComplex, p: Embedding) -> bool:
@@ -130,62 +129,48 @@ def certificate_check(cert: Certificate, K: SimplicialComplex, p: Embedding) -> 
     if any(not exactla.is_zero_vec(vec) for vec in residual.values()):
         raise InvalidCertificate("balancing condition fails; not a stress")
 
-    strict_negative = False
-    for u in K.vertices:
-        if u in Mset:
-            continue
-        S = face_key(Fset | {u})
-        if not K.has_face(S):
-            continue
-        s = sv.sign(S)
-        if s > 0:
-            return False
-        if s < 0:
-            strict_negative = True
-    return strict_negative
+    signs = [sv.sign(S) for u, S in _star(F, K.vertices, K.face_set(k)).items() if u not in Mset]
+    return 1 not in signs and -1 in signs
 
 
 def _stress_space(carrier: SimplicialComplex, basis, k: int):
-    """The k-faces of the carrier in order, their index, the basis as
-    coordinate vectors over them, scaled to integers once per space,
-    and the space's list of Farkas rays for `exactla.strict_feasible`,
-    which grows as the LPs over this span prove sign patterns
-    infeasible and lets later patterns they cover skip their LPs."""
+    """The k-faces of the carrier in order, their index, and the basis
+    as coordinate vectors over them, scaled to integers once per space.
+
+    The global LPs over such a space keep no Farkas rays.
+    `find_certificate` and `quotient_certificate` run one LP per
+    space.  In `probe_missing_faces` every query for one G has the
+    strict set {G}, and the weak sets {F+u : u not in G} of distinct
+    F in G are disjoint, since F+u meets G in F.  So a ray could
+    answer a later F only if its negative part were empty, when every
+    stress vanishes on G."""
     degrees = {b.degree for b in basis}
     if degrees - {k}:
         raise InvalidArgument(f"basis degrees {sorted(degrees)} do not match |F|+1 = {k}")
     face_order = carrier.faces_of_size(k)
     index = {S: i for i, S in enumerate(face_order)}
-    return face_order, index, [exactla._integerize(b.as_vector(face_order)) for b in basis], []
+    return face_order, index, [exactla._integerize(b.as_vector(face_order)) for b in basis]
 
 
 def _feasible_certificate(k, space, skel, M, F):
     """Shared LP step over a `_stress_space`: strict positivity on F+v
     inside M, nonpositive on F+u leaving M.  Returns a Certificate or
     None, without an LP when the basis is empty."""
-    face_order, index, vectors, rays = space
+    face_order, index, vectors = space
     if not vectors:
         return None
-    Fset = set(F)
+    star = _star(F, skel.vertices, index)
     strict = []
-    for v in sorted(set(M) - Fset):
-        S = face_key(Fset | {v})
-        if S not in index:
-            raise InvalidArgument(f"{S} is not a face of the carrier")
-        strict.append(index[S])
-    weak = []
-    for u in skel.vertices:
-        if u in M or u in Fset:
-            continue
-        S = face_key(Fset | {u})
-        j = index.get(S)
-        if j is not None:
-            weak.append(j)
-    witness = exactla.strict_feasible(vectors, strict, weak, rays)
+    for v in sorted(set(M) - set(F)):
+        if v not in star:
+            raise InvalidArgument(f"{face_key(set(F) | {v})} is not a face of the carrier")
+        strict.append(index[star[v]])
+    weak = [index[S] for u, S in star.items() if u not in M]
+    witness = exactla.strict_feasible(vectors, strict, weak)
     if witness is None:
         return None
     sv = StressVector.from_vector(k, face_order, witness)
-    pattern = _pattern_for(sv, set(face_order), F, skel.vertices)
+    pattern = {S: sv.sign(S) for S in star.values()}
     return Certificate(missing=face_key(M), base=face_key(F), stress=sv, pattern=pattern)
 
 
@@ -217,16 +202,10 @@ def _local_span(space, skel, F):
     of the basis restricted to them, which spans pi_F(L) for
     L = span(basis), and `rays` is this span's own Farkas-ray list.
     """
-    _, index, vectors, _ = space
-    Fset = set(F)
-    cols, star_cols = {}, []
-    for u in skel.vertices:
-        j = None if u in Fset else index.get(face_key(Fset | {u}))
-        if j is not None:
-            cols[u] = len(star_cols)
-            star_cols.append(j)
-    _, rows = exactla.rref([[B[j] for j in star_cols] for B in vectors])
-    return cols, [exactla._integerize(r) for r in rows], []
+    _, index, vectors = space
+    star = _star(F, skel.vertices, index)
+    _, rows = exactla.rref([[B[index[S]] for S in star.values()] for B in vectors])
+    return {u: j for j, u in enumerate(star)}, [exactla._integerize(r) for r in rows], []
 
 
 def _locally_feasible(local, M, F) -> bool:
@@ -325,8 +304,7 @@ def quotient_certificate(P: PolytopeInstance, M, F, x0=None):
         raise InvalidArgument("M minus G is empty; use find_certificate directly")
     if not K.has_face(tau):
         raise NotAFace(f"{tau} is not a face, cannot contract it")
-    st = star(K, tau)
-    carrier = build_complex(list(st.facets) + [frozenset(G)])
+    carrier = build_complex([T for T in K.facets if T.issuperset(tau)] + [frozenset(G)])
     for v in rest:
         if v != x0 and not carrier.has_face(set(F) | {v}):
             return None  # the star is too small to see the strict faces
@@ -337,12 +315,10 @@ def quotient_certificate(P: PolytopeInstance, M, F, x0=None):
 # constructive stress builders for missing edges
 
 
-def _component_of_b(K: SimplicialComplex, graph_adj, a: int, b: int):
-    """Vertices reachable from b avoiding the link of a (and a itself),
-    with BFS parents for path reconstruction.  Deterministic: neighbors
-    are scanned in sorted order."""
-    avoid = set(link(K, (a,)).vertices)
-    avoid.add(a)
+def _component_of_b(graph_adj, avoid: set, b: int):
+    """Vertices reachable from b avoiding `avoid` (the link of a and a
+    itself), with BFS parents for path reconstruction.  Deterministic:
+    neighbors are scanned in sorted order."""
     dist = {b: 0}
     parent = {}
     queue = [b]
@@ -410,9 +386,8 @@ def missing_edge_stress(P: PolytopeInstance, a: int, b: int) -> StressVector:
     if K.has_face(ab):
         raise NotMissing(f"{ab} is an edge of the complex")
 
-    graph = skeleton(K, 1)
     if d == 3:
-        aug = build_complex(list(graph.facets) + [frozenset(ab)])
+        aug = build_complex(list(K.facets) + [frozenset(ab)])
         basis = stress_basis(aug, p, 2)
         if len(basis) != 1:
             raise RigidityFailure(f"extended kernel has dimension {len(basis)}, expected 1")
@@ -421,24 +396,27 @@ def missing_edge_stress(P: PolytopeInstance, a: int, b: int) -> StressVector:
         if val == 0:
             raise RigidityFailure("kernel element vanishes on the added edge")
         return sv.scaled(R1 / val)
-    return _edge_stress_high_dim(P, graph, a, b)
+    return _edge_stress_high_dim(P, a, b)
 
 
-def _edge_stress_high_dim(P: PolytopeInstance, graph: SimplicialComplex, a: int, b: int) -> StressVector:
+def _edge_stress_high_dim(P: PolytopeInstance, a: int, b: int) -> StressVector:
+    """The d >= 4 route of `missing_edge_stress`.  The stress reads only
+    vertices and edges, so its carrier is built once, straight from the
+    facets that meet the BFS paths, plus the edges a-c and ab."""
     K = P.complex
     p = P.embedding
     d = P.d
     ab = face_key((a, b))
 
-    adj: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for e in graph.faces_of_size(2):
+    adj: dict[int, list[int]] = {v: [] for v in K.vertices}
+    for e in K.faces_of_size(2):
         adj[e[0]].append(e[1])
         adj[e[1]].append(e[0])
     for v in adj:
         adj[v].sort()
 
-    dist, parent = _component_of_b(K, adj, a, b)
     link_a = set(link(K, (a,)).vertices)
+    dist, parent = _component_of_b(adj, link_a | {a}, b)
     C = sorted(c for c in link_a if any(w in dist for w in adj[c]))
     if not C:
         raise RigidityFailure("no connector vertices; graph is disconnected around a")
@@ -461,11 +439,8 @@ def _edge_stress_high_dim(P: PolytopeInstance, graph: SimplicialComplex, a: int,
         while cur != b:
             cur = parent[cur]
             path_vertices.add(cur)
-    sub_facets = [T for T in K.facets if T & path_vertices]
-    Ksub = build_complex(sub_facets)
-    Gsub = skeleton(Ksub, 1)
     extra = [frozenset((a, c)) for c in Cp] + [frozenset(ab)]
-    carrier = build_complex(list(Gsub.facets) + extra)
+    carrier = build_complex([T for T in K.facets if T & path_vertices] + extra)
 
     for sv in stress_basis(carrier, p, 2):
         val = sv.coeff(ab)
@@ -586,8 +561,7 @@ def neighborly_certificate(P: PolytopeInstance, M, k: int) -> Certificate:
             phi[v] = x[j] if v in Mset else -x[j]
     sv = power_stress(phi, k, K, p)
     F = M[: k - 1]
-    faces_k = K.face_set(k)
-    pattern = _pattern_for(sv, faces_k | {face_key(set(F) | {v}) for v in M[k - 1:]}, F, V)
+    pattern = {S: sv.sign(S) for S in _star(F, V, K.face_set(k)).values()}
     return Certificate(missing=M, base=F, stress=sv, pattern=pattern)
 
 

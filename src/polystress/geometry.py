@@ -43,7 +43,7 @@ from .errors import (
     NotSimplicial,
 )
 from .rat import R0, Rat, rat, sign
-from .simplicial import SimplicialComplex, face_key, star_link
+from .simplicial import SimplicialComplex, face_key, link
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def vertex_figure(P: PolytopeInstance, u: int):
     pivot = next(j for j in range(P.d) if b[j] != 0)
     keep = [j for j in range(P.d) if j != pivot]
     pu = p.point(u)
-    _, lk = star_link(K, {u})
+    lk = link(K, {u})
     a = {}
     coords = {}
     for i in lk.vertices:

@@ -149,23 +149,25 @@ def skeleton(K: SimplicialComplex, i: int) -> SimplicialComplex:
     return SimplicialComplex(facets=gens)
 
 
-def star_link(K: SimplicialComplex, F) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """(star, link) of a face.  star(K, {}) is K itself."""
+def _carrying(K: SimplicialComplex, F) -> tuple[frozenset, list]:
+    """F as a frozenset and the facets of K that contain it."""
     F = frozenset(F)
     if not K.has_face(F):
         raise NotAFace(f"{sorted(F)} is not a face")
-    carrying = [G for G in K.facets if F <= G]
-    st = SimplicialComplex(facets=carrying)
-    lk = build_complex([G - F for G in carrying])
-    return st, lk
+    return F, [G for G in K.facets if F <= G]
 
 
 def star(K: SimplicialComplex, F) -> SimplicialComplex:
-    return star_link(K, F)[0]
+    """The closed star of a face: the facets containing it, closed
+    downwards.  star(K, {}) is K itself.  Builds one complex."""
+    return SimplicialComplex(facets=_carrying(K, F)[1])
 
 
 def link(K: SimplicialComplex, F) -> SimplicialComplex:
-    return star_link(K, F)[1]
+    """The link of a face: G - F over the facets G containing it,
+    closed downwards.  link(K, {}) is K itself.  Builds one complex."""
+    F, carrying = _carrying(K, F)
+    return SimplicialComplex(facets=[G - F for G in carrying])
 
 
 def extensions(level, vertices):

@@ -30,7 +30,7 @@ from .errors import (
 from .exactla import RatMatrix
 from .geometry import Embedding, _altitudes, _integer_points, affine_rank
 from .rat import R0, R1, Rat, rat, sign
-from .simplicial import SimplicialComplex, face_key, skeleton
+from .simplicial import SimplicialComplex, face_key
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def stress_basis(K: SimplicialComplex, p: Embedding, k: int) -> list[StressVecto
 
     For k = 1 these are the affine dependences (kernel of the theta
     matrix); for k >= 2, squarefree parts from the kernel of the
-    k-rigidity matrix.
+    k-rigidity matrix, which reads only K's faces of sizes k-1 and k.
     """
     if k < 1:
         raise InvalidArgument("stress degree must be >= 1")
@@ -260,19 +260,20 @@ class RigidityReport:
 def is_infinitesimally_rigid(K: SimplicialComplex, p: Embedding) -> RigidityReport:
     """Rank test on the 2-rigidity matrix of the graph of K.
 
-    Rigid iff rank equals d*f_0 - C(d+1, 2); the kernel dimension is
-    the number of independent 2-stresses either way.  The rank is
-    `kernel_basis`'s, so it is exact on either of its routes, whether
-    the framework is rigid or not.
+    Reads only K's vertices and edges, the rows and columns of that
+    matrix, so K may be given by its facets or by any skeleton of
+    dimension at least 1.  Rigid iff rank equals d*f_0 - C(d+1, 2);
+    the kernel dimension is the number of independent 2-stresses
+    either way.  The rank is `kernel_basis`'s, so it is exact on
+    either of its routes, whether the framework is rigid or not.
     """
-    graph = K if K.dim <= 1 else skeleton(K, 1)
     d = p.dim
-    pts = [p.point(v) for v in graph.vertices]
+    pts = [p.point(v) for v in K.vertices]
     if affine_rank(pts) != d:
         raise DegenerateEmbedding("embedding does not span the ambient space")
-    R = rigidity_matrix(graph, p, 2)
-    f0 = len(graph.vertices)
-    f1 = len(graph.faces_of_size(2))
+    R = rigidity_matrix(K, p, 2)
+    f0 = len(K.vertices)
+    f1 = len(R.col_labels)
     expected = d * f0 - comb(d + 1, 2)
     rnk, _ = exactla.kernel_basis(R)
     return RigidityReport(

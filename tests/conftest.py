@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from polystress import corpus, exactla
+from polystress.simplicial import SimplicialComplex
 
 
 @lru_cache(maxsize=None)
@@ -36,3 +37,24 @@ def no_large_bareiss(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(exactla, "_bareiss_echelon", spy)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """`constructions(f, *args)` calls f(*args) and returns how many
+    complexes it built, counted at `SimplicialComplex.__post_init__`."""
+    real = SimplicialComplex.__post_init__
+    built = []
+
+    def spy(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(SimplicialComplex, "__post_init__", spy)
+
+    def count(f, *args):
+        built.clear()
+        f(*args)
+        return len(built)
+
+    return count

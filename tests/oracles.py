@@ -29,8 +29,10 @@ full polynomial, missing-edge stresses by reading the rigidity
 kernel directly, as detect did before it took every stress from
 stress_basis, and the missing-edge connector pick by the Caratheodory
 reduction and the greedy pass with a one-swap repair that one matroid
-greedy over the LP's basic support replaced.  Slow and simple on
-purpose.
+greedy over the LP's basic support replaced, and detect's d >= 4
+missing-edge carrier and quotient carrier by the skeleton and star
+constructions that one build_complex over the facets replaced.  Slow
+and simple on purpose.
 """
 
 from fractions import Fraction
@@ -50,7 +52,7 @@ from polystress.errors import (
 from polystress.exactla import RatMatrix, dot, kernel_basis, rref, vec_sub
 from polystress.geometry import _hyperplane, _integer_points, _side, affine_rank
 from polystress.rat import R0, R1, rat
-from polystress.simplicial import SimplicialComplex, face_key, skeleton
+from polystress.simplicial import SimplicialComplex, build_complex, face_key, skeleton, star
 from polystress.stress import (
     RigidityReport,
     StressVector,
@@ -420,7 +422,7 @@ def subset_sweep(skel, basis, d, k):
     """certificate_sweep over every vertex subset in the size window,
     skipping supersets of certified sets by a scan of the certified list,
     with one LP per sign pattern (no Farkas rays)."""
-    space = (*_stress_space(skel, basis, k)[:3], None)
+    space = _stress_space(skel, basis, k)
     certified, open_candidates = [], []
     for size in range(k + 1, d - k + 2):
         for M in combinations(skel.vertices, size):
@@ -1053,3 +1055,19 @@ def swap_extend(points: dict, core: list, pool: list, d: int, avoid_pt):
             if independent(trial) and affine_rank([points[c] for c in trial] + [avoid_pt]) == d:
                 return sorted(trial)
     return None
+
+
+# --- detect's carriers as they were built before each took one construction
+
+
+def graph_edge_carrier(facets, extra):
+    """The d >= 4 missing-edge carrier in three constructions: the
+    complex of the facets met by the BFS paths, its 1-skeleton, then
+    that graph with the extra edges a-c and ab."""
+    graph = skeleton(build_complex(facets), 1)
+    return build_complex([*graph.facets, *extra])
+
+
+def star_quotient_carrier(K, tau, G):
+    """quotient_certificate's carrier as the star of tau, with G adjoined."""
+    return build_complex([*star(K, tau).facets, frozenset(G)])

@@ -8,8 +8,10 @@ from conftest import instance
 from oracles import (
     expand_recover_stress1,
     fraction_power_stress,
+    graph_edge_carrier,
     kernel_edge_stress,
     sign_system_feasible,
+    star_quotient_carrier,
     subset_sweep,
     swap_extend,
 )
@@ -134,6 +136,71 @@ def test_missing_edge_stress_matches_kernel_oracle_on_corpus(full_corpus, monkey
                 assert P.d > 3 or dim == 1
                 seen.add(P.d)
     assert seen == {3, 4, 5}
+
+
+def _spy_build_complex(monkeypatch):
+    """Route detect's build_complex through a spy; returns the list of
+    generator lists it was called with."""
+    real, calls = detect.build_complex, []
+
+    def spy(gens):
+        calls.append(list(gens))
+        return real(calls[-1])
+
+    monkeypatch.setattr(detect, "build_complex", spy)
+    return calls
+
+
+def test_edge_carrier_matches_the_graph_route(full_corpus, monkeypatch):
+    # one construction from the facets met by the paths, plus the edges
+    # a-c and ab, has the vertices and edges of their graph plus those edges
+    calls = _spy_build_complex(monkeypatch)
+    cases = [P for P in full_corpus if P.d >= 4]
+    cases += [instance("stacked", d=4, steps=6, seed=0), instance("stacked", d=5, steps=7, seed=0)]
+    seen = set()
+    for P in cases:
+        for a, b in (M for M in missing_faces(P.complex, 2) if len(M) == 2):
+            for x, y in ((a, b), (b, a)):
+                calls.clear()
+                missing_edge_stress(P, x, y)
+                (gens,) = calls
+                facets, extra = [T for T in gens if len(T) > 2], [T for T in gens if len(T) == 2]
+                assert set(facets) <= P.complex.facets and frozenset((x, y)) in extra
+                new = build_complex(gens)
+                old = graph_edge_carrier(facets, extra)
+                assert new.vertices == old.vertices, (P.meta, x, y)
+                assert new.face_set(2) == old.face_set(2), (P.meta, x, y)
+                seen.add((P.d, P.meta["family"]))
+    assert {(4, "stacked"), (5, "stacked"), (4, "cross"), (5, "cross")} <= seen
+
+
+def test_quotient_carrier_equals_the_star_route(full_corpus, monkeypatch):
+    # every (M, F, x0) over the corpus's missing faces; the carrier is all
+    # this test reads, so the stress space is left empty
+    calls = _spy_build_complex(monkeypatch)
+    monkeypatch.setattr(detect, "stress_basis", lambda *a: [])
+    seen = 0
+    for P in full_corpus:
+        K = P.complex
+        for M in missing_faces(K, len(K.vertices)):
+            for j in range(1, len(M) - 1):
+                for F in combinations(M, j):
+                    for x0 in (v for v in M if v not in F):
+                        calls.clear()
+                        assert quotient_certificate(P, M, F, x0) is None
+                        G = tuple(sorted(F + (x0,)))
+                        tau = tuple(v for v in M if v not in G)
+                        assert [build_complex(gens) for gens in calls] == [star_quotient_carrier(K, tau, G)], (P.meta, M, F, x0)
+                        seen += 1
+    assert seen > 1000
+
+
+def test_missing_edge_and_quotient_build_one_complex_per_carrier(octahedron, constructions):
+    # d = 3 builds the carrier; d >= 4 builds lk(a) and the carrier
+    assert constructions(missing_edge_stress, octahedron, 0, 1) == 1
+    for d in (4, 5):
+        assert constructions(missing_edge_stress, instance("cross", d=d), 0, 1) == 2
+    assert constructions(quotient_certificate, instance("free_sum", i=2, d=4), (1, 2, 3), (1,)) == 1
 
 
 def _greedy_first_pass(points, core, pool, d):
@@ -464,7 +531,7 @@ def test_certificate_sweep_local_verdicts_match_the_global_lp_on_corpus(full_cor
     asked = 0
     for P, k, skel, basis in corpus_sweeps(full_corpus):
         _, verdicts, _ = sweep(skel, basis, P.d, k)
-        space = (*detect._stress_space(skel, basis, k)[:3], None)
+        space = detect._stress_space(skel, basis, k)
         for M, F, verdict in verdicts:
             assert verdict == (detect._feasible_certificate(k, space, skel, M, F) is not None), (P.meta, M, F)
         asked += len(verdicts)

@@ -99,6 +99,15 @@ def test_star_link_octahedron(octahedron):
     assert link(K, {2, 4}).facet_keys == ((0,), (1,))
     with pytest.raises(NotAFace):
         link(K, {0, 1})
+    # the empty face is in every facet
+    assert star(K, ()) == K
+    assert link(K, ()) == K
+
+
+def test_star_and_link_build_one_complex_each(octahedron, constructions):
+    K = octahedron.complex
+    assert constructions(star, K, {0}) == 1
+    assert constructions(link, K, {0}) == 1
 
 
 def test_missing_faces_octahedron(octahedron):

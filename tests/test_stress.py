@@ -326,6 +326,18 @@ def test_stress_basis_routes_agree_on_corpus(full_corpus, monkeypatch):
     assert len(won) == len(big)
 
 
+def test_stress_reads_only_the_faces_of_sizes_k_minus_1_and_k(full_corpus):
+    # the (k-1)-skeleton has the facets' rows and columns, so the same stresses
+    checked = set()
+    for P in full_corpus:
+        for k in (2, 3) if P.d >= 6 else (2,):
+            skel = skeleton(P.complex, k - 1)
+            assert rigidity_matrix(P.complex, P.embedding, k) == rigidity_matrix(skel, P.embedding, k), (P.meta, k)
+            assert stress_basis(P.complex, P.embedding, k) == stress_basis(skel, P.embedding, k), (P.meta, k)
+            checked.add(k)
+    assert checked == {2, 3}
+
+
 # ---------------------------------------------------------------------------
 # balancing residuals
 
@@ -375,6 +387,11 @@ def test_rigid_octahedron(octahedron):
     assert rep == RigidityReport(
         rigid=True, rank=12, expected_rank=12, stress_dim=0, d=3, f0=6, f1=12
     )
+
+
+def test_rigidity_builds_no_complex(constructions):
+    for P in (instance("cross", d=3), instance("cyclic", n=8, d=4), instance("cyclic", n=9, d=6)):
+        assert constructions(is_infinitesimally_rigid, P.complex, P.embedding) == 0, P.meta
 
 
 def test_flexible_four_cycle():
