@@ -209,11 +209,14 @@ def _local_span(space, skel, F):
 
 
 def _locally_feasible(local, M, F) -> bool:
-    """`_feasible_certificate(...) is not None`, asked over `_local_span(space, skel, F)`."""
+    """`_feasible_certificate(...) is not None`, asked over `_local_span(space, skel, F)`.
+
+    Every column F+u is strict (u in M - F) or weak (u outside M), so
+    `exactla.pattern_feasible` fixes the sign of each pivot coordinate
+    and its LP has r_F + 1 structural columns, where the witness LP of
+    `strict_feasible` splits each coefficient in two and has 2 r_F + 1."""
     cols, rows, rays = local
-    strict = [cols[v] for v in M if v not in F]
-    weak = [j for u, j in cols.items() if u not in M]
-    return exactla.strict_feasible(rows, strict, weak, rays) is not None
+    return exactla.pattern_feasible(rows, [cols[v] for v in M if v not in F], rays)
 
 
 def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
@@ -229,14 +232,14 @@ def certificate_sweep(skel: SimplicialComplex, basis, d: int, k: int):
     Each query (M, F) reads only the coordinates F+u, so it runs over
     the projection pi_F(L) of L = span(basis) onto them, built once per
     base face by `_local_span`: x in L meets the sign conditions iff
-    pi_F(x) does, so the verdict is the global LP's, over 2 r_F + 1
-    structural columns instead of 2 dim L + 1.  A Farkas ray w
-    orthogonal to pi_F(L), padded with zeros, is orthogonal to L, so
-    `strict_feasible`'s exact check of w against the local rows keeps
-    every skip certified; rays are kept per base face, in its local
-    columns.  The rref of a span is unique, so the LPs depend on L and
-    not on the basis chosen for it.  An empty basis certifies nothing
-    and builds no span.
+    pi_F(x) does, so the verdict is the global LP's, over r_F + 1
+    structural columns (`_locally_feasible`) instead of 2 dim L + 1.
+    A Farkas ray w orthogonal to pi_F(L), padded with zeros, is
+    orthogonal to L, so `pattern_feasible`'s exact check of w against
+    the local rows keeps every skip certified; rays are kept per base
+    face, in its local columns.  The rref of a span is unique, so the
+    LPs depend on L and not on the basis chosen for it.  An empty basis
+    certifies nothing and builds no span.
     """
     if k < 2:
         raise InvalidArgument("certificate sweeps need k >= 2")

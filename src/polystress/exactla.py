@@ -28,26 +28,30 @@ the one way in, clearing each row of denominators once, up front.
 - The LP is a dense two-phase primal simplex with Bland's rule, so it
   terminates and every run of it is deterministic.  Its tableau holds
   integer rows over one shared denominator; a pivot is the same step
-  with prev = that denominator.  `strict_feasible` is the entry point
-  the sign-certificate search uses; the general `simplex` also backs
-  the convex-position queries elsewhere in the package.
-- Farkas rays let `strict_feasible` skip LPs it can prove infeasible
+  with prev = that denominator.  `strict_feasible` finds the witness
+  stresses that certificates carry, and `pattern_feasible` answers the
+  sweep's yes-or-no sign queries over a span held in RREF; the general
+  `simplex` also backs the convex-position queries elsewhere in the
+  package.
+- Farkas rays let `pattern_feasible` skip LPs it can prove infeasible
   (Motzkin's transposition theorem; Schrijver 1986, ch. 7).  Write L
-  for the span of the basis.  An infeasible query's LP ends with
-  optimal duals y >= 0, which its final objective row holds on the
-  slack columns up to a positive factor.  Dual feasibility on the
-  u and v columns says that w, with w_i = y_i on the strict rows,
-  w_j = -y_j on the weak rows and 0 elsewhere, is orthogonal to L; on
-  the t column, with the dual of t <= 1 equal to the optimum 0, it
-  says the strict duals sum to at least 1, so pos(w) is nonempty
-  unless a coordinate is both strict and weak.  Take a later query
-  over L whose strict set contains pos(w) and whose weak set contains
-  neg(w).  An x in L that met it would give w.x > 0, against w.x = 0,
-  so the query is infeasible.  The ray (pos(w), neg(w)) is kept only
-  after w.b = 0 is checked exactly for every integer basis vector b,
-  so a skip rests on that check and not on the tableau.  Only
-  infeasible queries are skipped, and every LP that still runs is the
-  one that runs without rays, so witnesses do not change.
+  for the span of the rows.  An infeasible query's LP ends with
+  optimal duals, which its final objective row holds on the slack
+  columns up to a positive factor.  Take w_j = the dual on each strict
+  non-pivot row and minus it on each weak one, and give each pivot
+  coordinate P_k the value that makes w orthogonal to row k.  Dual
+  feasibility on column y_k then says w_{P_k} >= mu_k >= 0, mu_k the
+  dual of a_k y_k >= t, when P_k is strict, and w_{P_k} <= 0 when it
+  is weak; on the t column, with the dual of t <= 1 equal to the
+  optimum 0, it says the strict duals sum to at least 1, so pos(w) is
+  nonempty.  So w is orthogonal to L, positive only on strict and
+  negative only on weak coordinates.  Take a later query over L whose
+  strict set contains pos(w) and misses neg(w).  An x in L that met it
+  would give w.x > 0, against w.x = 0, so the query is infeasible.
+  These properties are checked exactly on the integer rows before the
+  ray (pos(w), neg(w)) is kept, and a feasible verdict is checked on
+  the x it rebuilds, so no verdict rests on the tableau.  Rays decide
+  only which LPs run, never a verdict.
 """
 
 from __future__ import annotations
@@ -548,21 +552,13 @@ def _solve(obj, A_ub, b_ub, A_eq, b_eq):
     return "optimal", x, dot(obj, x), z
 
 
-def strict_feasible(basis, strict_coords, weak_coords, rays=None):
+def strict_feasible(basis, strict_coords, weak_coords):
     """Search span(basis) for x with x_i > 0 on strict and x_j <= 0 on weak.
 
     Maximizes t subject to x_i >= t on strict coordinates, x_j <= 0 on
     weak ones, and t <= 1; a witness exists iff the optimum is
     positive.  Returns the witness vector (not normalized) or None.
     An empty strict set is vacuous and yields the zero vector.
-
-    `rays`, if given, is a list the caller keeps for this one span and
-    passes to every query over it.  A query whose strict set contains
-    pos and whose weak set contains neg of a stored (pos, neg) is
-    answered None without an LP; an infeasible LP stores the support
-    of its Farkas ray w, read off its optimal duals, once w . b = 0 is
-    checked exactly for every basis vector b (see the module
-    docstring).  Witnesses do not depend on the rays.
     """
     strict = sorted(set(strict_coords))
     weak = sorted(set(weak_coords))
@@ -575,10 +571,6 @@ def strict_feasible(basis, strict_coords, weak_coords, rays=None):
             raise InvalidArgument(f"coordinate {i} out of range")
     if not strict:
         return [R0] * ncoords
-    if rays is not None:
-        S, W = set(strict), set(weak)
-        if any(pos <= S and neg <= W for pos, neg in rays):
-            return None
     g = len(basis)
     # a positive scaling of each basis vector scales the LP's columns,
     # which changes neither Bland's pivot sequence nor the witness
@@ -596,22 +588,8 @@ def strict_feasible(basis, strict_coords, weak_coords, rays=None):
     b_ub.append(1)
     obj = [0] * (2 * g) + [1]
     # x = 0, t = 0 is feasible, so the LP always reaches an optimum
-    _, xvars, value, z = _solve(obj, A_ub, b_ub, None, None)
+    _, xvars, value, _ = _solve(obj, A_ub, b_ub, None, None)
     if value <= 0:
-        if rays is not None:
-            # slack j holds -den * y_j: w = y on the strict rows, -y on the weak ones
-            slack = z[2 * g + 1:]
-            w = [0] * ncoords
-            for j, i in enumerate(strict):
-                w[i] -= slack[j]
-            for j, i in enumerate(weak, len(strict)):
-                w[i] += slack[j]
-            support = [(i, wi) for i, wi in enumerate(w) if wi]
-            if any(sum(wi * B[i] for i, wi in support) for B in basis):
-                raise InternalArithmeticError("Farkas ray of an infeasible LP is not orthogonal to the basis")
-            pos = frozenset(i for i, wi in support if wi > 0)
-            if pos:  # empty only if a coordinate is both strict and weak
-                rays.append((pos, frozenset(i for i, wi in support if wi < 0)))
         return None
     coeffs = [xvars[j] - xvars[g + j] for j in range(g)]
     out = [R0] * ncoords
@@ -621,3 +599,74 @@ def strict_feasible(basis, strict_coords, weak_coords, rays=None):
                 if val:
                     out[i] += cj * val
     return out
+
+
+def pattern_feasible(rows, strict_coords, rays) -> bool:
+    """Whether span(rows) holds an x with x_i > 0 on strict and x_j <= 0
+    on every other coordinate.
+
+    `rows` is an RREF, each row possibly scaled by a positive factor:
+    row k has a_k > 0 on its pivot column P_k, and every other row has
+    0 there.  So x = sum c_k row_k has x_{P_k} = a_k c_k, and since
+    each coordinate is strict or weak the sign of c_k is known.  The LP
+    maximizes t over y >= 0 and t, with c_k = y_k on strict pivots and
+    -y_k on weak ones, subject to x_j >= t on strict and x_j <= 0 on
+    weak non-pivot coordinates, a_k y_k >= t on strict pivots, and
+    t <= 1.  The origin is feasible, so the LP needs no phase 1.
+
+    A feasible verdict rebuilds x and checks its signs; an infeasible
+    one checks the Farkas ray read off the optimal duals (see the
+    module docstring) and appends it to `rays`, unless `rays` is None.
+    A query whose strict set contains pos and misses neg of a stored
+    (pos, neg) is answered before the rows are read.  A failed check
+    raises InternalArithmeticError.
+    """
+    strict = set(strict_coords)
+    if not strict:
+        return True
+    if not rows:  # the span is {0}
+        return False
+    if rays is not None and any(pos <= strict and strict.isdisjoint(neg) for pos, neg in rays):
+        return False
+    rows = _int_rows(rows)
+    ncoords = len(rows[0])
+    for i in strict:
+        if not 0 <= i < ncoords:
+            raise InvalidArgument(f"coordinate {i} out of range")
+    pivots = [next(j for j, a in enumerate(row) if a) for row in rows]
+    sgn = [1 if p in strict else -1 for p in pivots]
+    r = len(rows)
+    # vars y_0..y_{r-1}, t; one row per non-pivot coordinate, then one per strict pivot
+    free = sorted(set(range(ncoords)) - set(pivots))
+    A_ub = []
+    for j in free:
+        xj = [s * row[j] for s, row in zip(sgn, rows)]
+        A_ub.append([-a for a in xj] + [1] if j in strict else xj + [0])
+    for k, p in enumerate(pivots):
+        if p in strict:
+            A_ub.append([-rows[k][p] if i == k else 0 for i in range(r)] + [1])
+    A_ub.append([0] * r + [1])
+    _, yt, value, z = _solve([0] * r + [1], A_ub, [0] * (len(A_ub) - 1) + [1], None, None)
+    if value > 0:
+        c = [s * y for s, y in zip(sgn, _integerize(yt[:r]))]
+        x = [sum(ck * row[j] for ck, row in zip(c, rows) if ck) for j in range(ncoords)]
+        if any(x[j] <= 0 if j in strict else x[j] > 0 for j in range(ncoords)):
+            raise InternalArithmeticError("LP witness misses its sign pattern")
+        return True
+    # the slack of row i holds -den times its dual: w_j is the dual on
+    # strict rows and minus it on weak ones, scaled by lcm(a_k) so that
+    # each pivot coordinate, set to make w orthogonal to its row, is an integer
+    scale = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    w = [0] * ncoords
+    for j, zj in zip(free, z[r + 1:]):
+        w[j] = -scale * zj if j in strict else scale * zj
+    for row, p in zip(rows, pivots):
+        w[p] = -sum(v * e for v, e in zip(w, row) if v) // row[p]
+    pos = frozenset(j for j, v in enumerate(w) if v > 0)
+    neg = frozenset(j for j, v in enumerate(w) if v < 0)
+    orthogonal = not any(sum(v * e for v, e in zip(w, row) if v) for row in rows)
+    if not (orthogonal and pos and pos <= strict and strict.isdisjoint(neg)):
+        raise InternalArithmeticError("Farkas ray of an infeasible LP is not a certificate")
+    if rays is not None:
+        rays.append((pos, neg))
+    return False

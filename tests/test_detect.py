@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -42,7 +43,7 @@ from polystress.errors import (
 )
 from polystress.exactla import rref
 from polystress.geometry import Embedding, PolytopeInstance, affine_rank
-from polystress.rat import R0, R1, rat
+from polystress.rat import R0, R1, rat, rat_str
 from polystress.simplicial import build_complex, missing_faces, skeleton
 from polystress.stress import StressVector, balancing_residual, power_stress, stress_basis
 
@@ -172,6 +173,22 @@ def test_edge_carrier_matches_the_graph_route(full_corpus, monkeypatch):
                 assert new.face_set(2) == old.face_set(2), (P.meta, x, y)
                 seen.add((P.d, P.meta["family"]))
     assert {(4, "stacked"), (5, "stacked"), (4, "cross"), (5, "cross")} <= seen
+
+
+def test_missing_edge_stresses_are_pinned():
+    # which facets enter the d >= 4 carrier changes the stress and not
+    # its properties, so the stresses themselves are pinned: every
+    # directed missing edge, one line of rat_str text each
+    lines = []
+    for P in (instance("stacked", d=4, steps=6, seed=0), instance("stacked", d=5, steps=7, seed=0), instance("cross", d=5)):
+        for a, b in (M for M in missing_faces(P.complex, 2) if len(M) == 2):
+            for x, y in ((a, b), (b, a)):
+                sv = missing_edge_stress(P, x, y)
+                coeffs = " ".join(f"{','.join(map(str, F))}={rat_str(c)}" for F, c in sorted(sv.coeffs.items()))
+                lines.append(f"{x} {y}: {coeffs}")
+    assert len(lines) == 108
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bc18590b37c4736e7c9971069af51d0cd2439b9f64e47678964211df189840a8"
 
 
 def test_quotient_carrier_equals_the_star_route(full_corpus, monkeypatch):

@@ -19,6 +19,7 @@ from polystress.errors import InternalArithmeticError, InvalidArgument, ParseErr
 from polystress.exactla import (
     RatMatrix,
     kernel_basis,
+    pattern_feasible,
     rank,
     rref,
     simplex,
@@ -184,6 +185,7 @@ _ENTRY_POINTS = [
     ("simplex A_ub", lambda e: simplex([1, 1], A_ub=[[1, e]], b_ub=[1])),
     ("simplex b_eq", lambda e: simplex([1, 1], A_eq=[[1, 1]], b_eq=[e])),
     ("strict_feasible", lambda e: strict_feasible([[1, e]], [0], [1])),
+    ("pattern_feasible", lambda e: pattern_feasible([[1, e]], [0], None)),
 ]
 
 
@@ -476,6 +478,7 @@ _RAGGED = [
     ("simplex short A_eq row", lambda: simplex([1, 1], A_eq=[[1]], b_eq=[1])),
     ("strict_feasible", lambda: strict_feasible([[1, 2], [1]], [1], [])),
     ("strict_feasible no strict", lambda: strict_feasible([[1, 2], [1]], [], [])),
+    ("pattern_feasible", lambda: pattern_feasible([[1, 2], [1]], [0], None)),
 ]
 
 
@@ -532,31 +535,60 @@ def test_strict_feasible_matches_oracle(problem):
         assert strict_feasible(basis, strict, weak) == witness
 
 
+def test_pattern_feasible_spec_cases():
+    assert pattern_feasible([[1, -1]], [], None)  # nothing strict: x = 0
+    assert pattern_feasible([[1, -1]], [0], None)
+    assert not pattern_feasible([[1, 1]], [0], None)
+    assert not pattern_feasible([], [0], None)  # the span is {0}
+    with pytest.raises(InvalidArgument, match="coordinate 9 out of range"):
+        pattern_feasible([[1, 2]], [9], None)
+
+
 @st.composite
 def sign_query_sequence(draw):
     nb = draw(st.integers(1, 3))
     nc = draw(st.integers(1, 5))
     basis = [[draw(small_entries) for _ in range(nc)] for _ in range(nb)]
-    coords = st.lists(st.integers(0, nc - 1), unique=True, max_size=nc)
-    return basis, draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=10))
+    strict = st.lists(st.integers(0, nc - 1), unique=True, max_size=nc)
+    return basis, draw(st.lists(strict, min_size=1, max_size=10))
 
 
 @settings(deadline=None, max_examples=200)
 @given(sign_query_sequence())
-@example(([[1, 1, 0]], [([0], [1]), ([0, 2], [1, 2])]))  # the second query is skipped
-@example(([[1]], [([0], [0])]))  # a coordinate both strict and weak: w = 0, no ray
-def test_strict_feasible_with_shared_rays_matches_fresh_lps_and_oracle(problem):
+@example(([[1, 1, 0]], [[0], [0, 2]]))  # the second query is skipped
+@example(([[0, 0, 0]], [[0], [1, 2], []]))  # a rank-0 span
+@example(([[1, 0, 2], [0, 0, 1]], [[0, 2], [1], [0]]))  # an all-zero column
+@example(([[1, 2, -1], [0, 1, 1]], [[0, 1], [2], [0, 2], [1, 2]]))  # strict pivots and non-pivots
+def test_pattern_feasible_with_shared_rays_matches_fresh_lps_and_oracle(problem):
+    # every coordinate not strict is weak
     basis, queries = problem
     exact = [[Fraction(c) for c in row] for row in basis]
+    rows = [exactla._integerize(r) for r in rref(basis)[1]]  # as the sweep's local spans hold it
     rays = []
-    for strict, weak in queries:
-        got = strict_feasible(basis, strict, weak, rays)
-        assert got == strict_feasible(basis, strict, weak)
-        assert (got is not None) == sign_system_feasible(exact, strict, weak)
+    for strict in queries:
+        weak = [j for j in range(len(basis[0])) if j not in strict]
+        got = pattern_feasible(rows, strict, rays)
+        assert got == pattern_feasible(rows, strict, None)
+        assert got == (strict_feasible(basis, strict, weak) is not None)
+        assert got == sign_system_feasible(exact, strict, weak)
     # every stored ray is a Farkas certificate: its own pattern is infeasible
     for pos, neg in rays:
         assert pos
         assert not sign_system_feasible(exact, sorted(pos), sorted(neg))
+
+
+def test_pattern_feasible_skips_a_query_a_stored_ray_settles(monkeypatch):
+    # span{(1, 1, 0)}: x_0 > 0 forces x_1 > 0, so the first query stores
+    # the ray ({0}, {1}), which settles the second without an LP
+    lps = []
+    real = exactla._solve
+    monkeypatch.setattr(exactla, "_solve", lambda *a: lps.append(1) or real(*a))
+    rays = []
+    assert not pattern_feasible([[1, 1, 0]], [0], rays)
+    assert rays == [({0}, {1})]
+    assert not pattern_feasible([[1, 1, 0]], [0, 2], rays)
+    assert pattern_feasible([[1, 1, 0]], [0, 1], rays)
+    assert len(lps) == 2
 
 
 @settings(deadline=None, max_examples=200)
@@ -574,23 +606,32 @@ def test_strict_feasible_over_the_projected_span_agrees(problem):
     assert (local is None) == (strict_feasible(basis, strict, weak) is None)
 
 
-def test_strict_feasible_rejects_a_ray_off_the_basis(monkeypatch):
-    # a corrupted objective row gives a w with w . b != 0: the exact check
-    # raises before the ray is stored
+def test_pattern_feasible_rejects_a_ray_off_the_basis(monkeypatch):
+    # a corrupted objective row gives a w that is no Farkas ray: the
+    # exact check raises before the ray is stored
     real = exactla._solve
 
     def corrupt(*args):
         status, x, value, z = real(*args)
         z = z[:]
-        z[3] *= 2  # the strict row's slack; columns u_0, v_0 and t come first
+        z[2] = -z[2]  # the weak non-pivot row's slack; columns y_0 and t come first
         return status, x, value, z
 
     monkeypatch.setattr(exactla, "_solve", corrupt)
     rays = []
     with pytest.raises(InternalArithmeticError, match="Farkas ray"):
-        strict_feasible([[1, 1]], [0], [1], rays)
+        pattern_feasible([[1, 1]], [0], rays)
     assert rays == []
-    assert strict_feasible([[1, 1]], [0], [1]) is None  # no rays, no check
+    with pytest.raises(InternalArithmeticError, match="Farkas ray"):
+        pattern_feasible([[1, 1]], [0], None)  # checked with or without a ray list
+    assert strict_feasible([[1, 1]], [0], [1]) is None  # the witness LP reads no duals
+
+
+def test_pattern_feasible_rejects_a_witness_off_its_pattern(monkeypatch):
+    # span{(1, 1)} has no x with x_0 > 0 >= x_1; an LP claiming one must not pass
+    monkeypatch.setattr(exactla, "_solve", lambda *a: ("optimal", [Rat(1), Rat(1)], Rat(1), None))
+    with pytest.raises(InternalArithmeticError, match="sign pattern"):
+        pattern_feasible([[1, 1]], [0], [])
 
 
 def test_vector_helpers():

@@ -184,6 +184,18 @@ def test_pipeline_k3_cyclic_12_6_within_time():
     assert elapsed < 3, f"took {elapsed:.2f}s"
 
 
+def test_pipeline_k2_cyclic_18_4_within_time():
+    # deg F is the north star's scale axis: each local LP has one row per
+    # non-pivot or strict pivot coordinate of star(F), one column per pivot
+    P = instance("cyclic", n=18, d=4)
+    skel, basis = pipeline_inputs(P)
+    t0 = time.monotonic()
+    rep = run_pipeline(skel, basis, 4, 2, prime=True)
+    elapsed = time.monotonic() - t0
+    assert rep.completion == P.complex
+    assert elapsed < 1.5, f"took {elapsed:.2f}s"
+
+
 def test_pipeline_with_no_stresses_builds_no_local_span_and_runs_no_lp(monkeypatch):
     S = instance("stacked", d=4, steps=2, seed=2)
     skel, basis = pipeline_inputs(S)
