@@ -12,19 +12,30 @@ the one way in, clearing each row of denominators once, up front.
   `rank` is the number of pivots.
 - `_kernel` is the one kernel core: it picks the route and reads the
   basis, one vector per free column.  On a matrix of at least
-  `_MODULAR_CELLS` cells it first eliminates mod a prime
-  (`_modular_kernel`, after Dixon 1982), where entries cannot grow,
+  `_MODULAR_CELLS` cells it first eliminates once mod the one prime
+  p = 2^61 - 1 (`_modular_kernel`), where entries cannot grow,
   rationally reconstructs each basis vector and checks A x = 0
   exactly on the integer rows.  That elimination, `_rref_mod`, keeps
   each row as a {column: residue} dict without zeros, because
   rigidity matrices are mostly zeros, and pivots each column on the
-  sparsest row nonzero there; the RREF mod p is unique, so the choice
-  of pivot row does not change the result.  A checked basis, and with
-  it the rank, is the one Bareiss gives; Bareiss and the one integer
-  readout `_back_substitute` stay the route for small matrices and
-  whenever no prime in the list yields a checked basis.  `kernel_basis`,
+  sparsest row nonzero there, the last such row on a tie, which keeps
+  the fill-in small; the RREF mod p is unique, so the choice of pivot
+  row does not change the result.
+- A vector that fails reconstruction or the check is lifted instead
+  of eliminated again mod a larger prime (Dixon 1982).  The rows that
+  pivoted, cut to the pivot columns, form a block that is invertible
+  mod p.  It is eliminated once, with a log of its row steps, and each
+  lifting step divides a residual exactly and replays the log on it
+  for one more p-adic digit, until the vector mod p^k passes the exact
+  check or the Hadamard bound of the pivot rows shows that no larger
+  modulus can help.  A checked basis, and with it the rank, is the
+  one Bareiss gives; Bareiss and the one integer readout
+  `_back_substitute` stay the route for small matrices and whenever
+  the modular route yields no checked basis.  `kernel_basis`,
   `solve_linear` (the kernel vector of [A | -b] whose last coordinate
-  is 1) and `rref` (each row read off the kernel vectors) sit on it.
+  is 1) and `rref` (each row read off the kernel vectors) sit on it;
+  `modular_rank` reads only the elimination's rank, a lower bound on
+  the exact one.
 - The LP is a dense two-phase primal simplex with Bland's rule, so it
   terminates and every run of it is deterministic.  Its tableau holds
   integer rows over one shared denominator; a pivot is the same step
@@ -58,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InternalArithmeticError, InvalidArgument
 from .rat import R0, R1, Rat, rat
@@ -191,48 +203,64 @@ def _back_substitute(ech, pivots, n, f) -> list:
     return [rat(v, scale) for v in x]
 
 
-# Mersenne primes, smallest first, for the modular kernel route
-_PRIMES = tuple((1 << e) - 1 for e in (61, 89, 127, 521))
+# The one prime of the modular kernel route, 2^61 - 1
+_PRIME = (1 << 61) - 1
 # Below this many cells a matrix stays on Bareiss: entry growth is still
 # small there, and the modular route's set-up, reconstruction and exact
-# check can cost more than they save, most of all when the coordinates
-# force a second prime.  Timed on every kernel of one certify pass (best
-# of 3, outputs identical): the modular route takes 1.09x Bareiss's time
-# on the 32x23 kernels (736 cells) and 1.21x on 28x19, but 0.35x on
-# 36x27, 0.40x on 40x31 and 0.32x on the 23 kernels of 44x35 per pass;
-# the stress and load workloads make no kernel call between 737 and
-# 2000 cells.
-_MODULAR_CELLS = 737
+# check cost more than they save.  Timed on every kernel of one seed-0
+# certify pass (best of 5, outputs identical), the modular route, lifting
+# included, takes 1.61x Bareiss's time on the 15x9 kernels (135 cells),
+# 0.84x on 24x15 (360), 0.50x on 28x19 (532) and 0.44x on 32x23 (736).
+# Certify passes alternating in one process between this cutoff and 737
+# were faster here in 16 of 20 pairs on seed 0 and 13 of 20 on seed 1.
+# The stress and load workloads make no kernel call between 100 and 7000
+# cells.
+_MODULAR_CELLS = 360
 
 
-def _rref_mod(rows, p) -> tuple[list[dict[int, int]], list[int]]:
+def _rref_mod(rows, p, log=None) -> tuple[list[dict[int, int]], list[int], list[int]]:
     """Reduced row echelon form of sparse integer rows mod the prime p.
 
     Rows are {column: entry} dicts that hold no zero entries: integers
     in the input, residues in 1..p-1 in the output.  Returns (pivot
-    rows, pivot columns), one row per pivot, in column order; each
-    pivot row has 1 on its pivot column and no entry on any other pivot
-    column.  Rigidity matrices are mostly zeros, so a dense update
-    would spend nearly all its time on them.
+    rows, pivot columns, origins), one of each per pivot, in column
+    order: each pivot row has 1 on its pivot column and no entry on any
+    other pivot column, and its origin is the index of the input row
+    that was picked to pivot that column.  Every output row combines
+    only the origin rows, so those rows, cut to the pivot columns, form
+    a block that is invertible mod p.  Rigidity matrices are mostly
+    zeros, so a dense update would spend nearly all its time on them.
 
     Columns are taken in order.  Among the rows not yet pivoted that
     are nonzero there, the one with the fewest nonzeros becomes the
-    pivot row (the lowest index on a tie), which keeps the fill-in
-    small (Markowitz 1957); each update touches only the pivot row's
-    nonzeros and deletes the entries that cancel.  The RREF of a matrix
-    over a field is unique, so the output does not depend on which row
-    is picked.
+    pivot row, which keeps the fill-in small (Markowitz 1957), and the
+    last such row on a tie: on rigidity matrices that takes far fewer
+    entry updates than the first (k = 3 on cyclic(14,6): 146k against
+    588k).  Each update touches only the pivot row's nonzeros and
+    deletes the entries that cancel.  The RREF of a matrix over a field
+    is unique, so the output rows do not depend on which row is picked.
+
+    With a list `log`, each pivot step appends (origin, inverse of the
+    pivot, [(input index, factor), ...]): the pivot row was scaled by
+    the inverse, then factor times it was subtracted from each listed
+    row.  `_replay` applies the same steps to a right-hand side.
     """
-    rest = [{j: a % p for j, a in row.items() if a % p} for row in rows]
-    red, cols = [], []
-    for col in sorted({j for row in rest for j in row}):
-        hits = [i for i, row in enumerate(rest) if col in row]
+    rest = {}
+    for i, row in enumerate(rows):
+        if r := {j: a % p for j, a in row.items() if a % p}:
+            rest[i] = r
+    red, cols, origin = [], [], []
+    for col in sorted({j for row in rest.values() for j in row}):
+        hits = [i for i, row in rest.items() if col in row]
         if not hits:
             continue
-        prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
+        i = min(reversed(hits), key=lambda i: len(rest[i]))
+        prow = rest.pop(i)
+        hits.remove(i)
         inv = pow(prow[col], -1, p)
         scaled = [(j, b * inv % p) for j, b in prow.items()]  # the pivot row with 1 at col
-        for row in rest + red:
+        updated = []
+        for t, row in chain(((t, rest[t]) for t in hits), zip(origin, red)):
             f = row.get(col)
             if f:
                 for j, b in scaled:
@@ -241,33 +269,49 @@ def _rref_mod(rows, p) -> tuple[list[dict[int, int]], list[int]]:
                         row[j] = v
                     else:
                         del row[j]
+                updated.append((t, f))
+        if log is not None:
+            log.append((i, inv, updated))
         red.append(dict(scaled))
         cols.append(col)
-        rest = [row for row in rest if row]
+        origin.append(i)
+        for t in hits:
+            if not rest[t]:
+                del rest[t]
         if not rest:
             break
-    return red, cols
+    return red, cols, origin
 
 
-def _reconstruct(xs, p) -> tuple[list[int], int] | None:
-    """Rational reconstruction of a vector mod p (Wang, Guy & Davenport 1982).
+def _replay(log, v, p) -> None:
+    """Apply the row steps `_rref_mod` logged to the vector v, in place."""
+    for i, inv, updated in log:
+        a = v[i] * inv % p
+        v[i] = a
+        if a:
+            for t, f in updated:
+                v[t] = (v[t] - f * a) % p
+
+
+def _reconstruct(xs, m) -> tuple[list[int], int] | None:
+    """Rational reconstruction of a vector mod m (Wang, Guy & Davenport 1982).
 
     Reads each residue as a small numerator over the denominator found
     so far, or else by extended Euclid as the fraction with numerator
-    and denominator at most sqrt(p/2) that it encodes.  Returns (v, den)
+    and denominator at most sqrt(m/2) that it encodes.  Returns (v, den)
     with den > 0 the lcm of the denominators and v the numerators over
     den; None if some residue encodes no such fraction.  Only the exact
     check that follows makes the result trustworthy.
     """
-    bound = math.isqrt(p >> 1)
+    bound = math.isqrt(m >> 1)
     den = 1
     out = []
     for a in xs:
-        c = a * den % p
-        if c > bound and p - c <= bound:
-            c -= p
-        elif c > bound:  # a new denominator: extended Euclid on (p, a)
-            r0, r1, t0, t1 = p, a, 0, 1
+        c = a * den % m
+        if c > bound and m - c <= bound:
+            c -= m
+        elif c > bound:  # a new denominator: extended Euclid on (m, a)
+            r0, r1, t0, t1 = m, a, 0, 1
             while r1 > bound:
                 q = r0 // r1
                 r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
@@ -283,15 +327,70 @@ def _reconstruct(xs, p) -> tuple[list[int], int] | None:
     return out, den
 
 
-def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
-    """`_kernel` of integer rows with n columns by elimination mod a
-    prime, or None if no prime in `_PRIMES` yields a verified basis.
+def _checked(sparse, n, f, left, xs, m) -> list | None:
+    """The kernel vector with x_f = 1 whose coordinates on the pivot
+    columns `left` are the residues xs mod m, every other one 0: None
+    unless it reconstructs and A x = 0 holds exactly on the rows."""
+    got = _reconstruct(xs, m)
+    if got is None:
+        return None
+    vals, den = got
+    x = [0] * n
+    x[f] = den
+    for c, v in zip(left, vals):
+        x[c] = v
+    if any(sum(a * x[j] for j, a in row.items()) for row in sparse):
+        return None
+    return [rat(v, den) for v in x]
 
-    For each prime p in turn: compute the RREF mod p; for each free
-    column f, read off the vector with x_f = 1, every other free
-    coordinate 0, and x_c = -(row of pivot c)[f] on the pivot columns
-    c left of f; rationally reconstruct it and check A x = 0 exactly on
-    the integer rows.  The first prime whose every vector passes wins.
+
+def _lift(block, f, digits, p):
+    """Dixon's p-adic lifting (Dixon 1982) of x with B x = -A_If, B the
+    pivot block: yields (x mod p^k, p^k) for k = 2, 3, ... from the
+    residues `digits` of x mod p.
+
+    `block` is (the pivot rows A_I, B's rows keyed by pivot index, the
+    log of B's elimination mod p, and for each pivot index the row of
+    B that holds its coordinate once the log is replayed).  Each step
+    divides the residual r <- (r - B d) / p exactly and replays the log
+    on r mod p for the next digit d; a remainder means the log does not
+    invert B.
+    """
+    prows, brows, log, at = block
+    res = [-row.get(f, 0) for row in prows]
+    x, m = digits, p
+    while True:
+        for k, brow in enumerate(brows):
+            q, rem = divmod(res[k] - sum(a * digits[j] for j, a in brow.items()), p)
+            if rem:
+                raise InternalArithmeticError("inexact division in p-adic lifting")
+            res[k] = q
+        v = [a % p for a in res]
+        _replay(log, v, p)
+        digits = [v[i] for i in at]
+        x = [a + d * m for a, d in zip(x, digits)]
+        m *= p
+        yield x, m
+
+
+def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
+    """`_kernel` of integer rows with n columns by one elimination mod
+    p = 2^61 - 1, or None if that does not yield a verified basis.
+
+    Compute the RREF mod p.  For each free column f, read off the
+    vector with x_f = 1, every other free coordinate 0, and
+    x_c = -(row of pivot c)[f] on the pivot columns c left of f;
+    rationally reconstruct it and check A x = 0 exactly on the integer
+    rows.  A vector that fails is lifted instead.  With I the origin
+    rows of the pivots and P the pivot columns, B = A_IP is invertible
+    mod p; on the first failure it is eliminated once mod p with a log
+    of its row steps, and `_lift` yields the solution of B x_P = -A_If
+    mod p^2, p^3, ..., each reconstructed and checked as above.  By
+    Cramer's rule that solution's coordinates and their common
+    denominator are minors of A_I, at most H = the product of the
+    norms of its rows (Hadamard), so once sqrt(p^k/2) >= H
+    reconstruction finds them if rank_p = rank_Q.  A vector still
+    unchecked there makes the route give up.
 
     Why the result equals Bareiss's.  Every minor of A reduces mod p,
     so rank_p <= rank_Q.  A verified x writes column f as a rational
@@ -300,32 +399,42 @@ def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
     rank_Q <= rank_p.  The ranks are equal, so the free columns are
     the same set, and each x is the unique rational kernel vector with
     that shape, which is what `_back_substitute` returns.  An unlucky
-    prime, or one too small for the coordinates, fails the check.
+    prime fails the check.
     """
+    p = _PRIME
     sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
-    for p in _PRIMES:
-        red, cols = _rref_mod(sparse, p)
-        pivot_row = dict(zip(cols, red))
-        left = []  # (pivot column, its row) for every pivot left of f
-        basis = []
-        for f in range(n):
-            if f in pivot_row:
-                left.append((f, pivot_row[f]))
-                continue
-            got = _reconstruct([-row.get(f, 0) % p for _, row in left], p)
-            if got is None:
-                break
-            vals, den = got
-            x = [0] * n
-            x[f] = den
-            for (c, _), v in zip(left, vals):
-                x[c] = v
-            if any(sum(a * x[j] for j, a in srow.items()) for srow in sparse):
-                break
-            basis.append([rat(v, den) for v in x])
-        else:
-            return cols, basis
-    return None
+    red, cols, origin = _rref_mod(sparse, p)
+    index = {c: k for k, c in enumerate(cols)}
+    block = None  # B's elimination, made on the first failed vector
+    basis = []
+    left = 0  # the number of pivot columns left of f
+    for f in range(n):
+        if f in index:
+            left += 1
+            continue
+        # rows of pivots right of f are 0 at f
+        xs = [-row.get(f, 0) % p for row in red[:left]]
+        x = _checked(sparse, n, f, cols[:left], xs, p)
+        if x is None:
+            if block is None:
+                prows = [sparse[i] for i in origin]
+                brows = [{index[j]: a for j, a in row.items() if j in index} for row in prows]
+                log = []
+                at = _rref_mod(brows, p, log)[2]
+                if len(at) != len(cols):
+                    raise InternalArithmeticError("pivot block is singular mod p")
+                block = prows, brows, log, at
+                hadamard2 = math.prod(sum(a * a for a in row.values()) for row in prows)  # H^2
+            lifts = _lift(block, f, xs + [0] * (len(cols) - left), p)
+            m = p
+            while math.isqrt(m >> 1) ** 2 < hadamard2:
+                xs, m = next(lifts)
+                if (x := _checked(sparse, n, f, cols[:left], xs[:left], m)) is not None:
+                    break
+            else:
+                return None
+        basis.append(x)
+    return cols, basis
 
 
 def _kernel(rows, n) -> tuple[list[int], list[list]]:
@@ -353,6 +462,13 @@ def kernel_basis(A) -> tuple[int, list[list]]:
     rows = _int_rows(A)
     cols, basis = _kernel(rows, len(rows[0]) if rows else 0)
     return len(cols), basis
+
+
+def modular_rank(A) -> int:
+    """The rank of A mod 2^61 - 1, a lower bound on its rank: every
+    minor of A reduces mod p, so rank_p <= rank_Q."""
+    sparse = [{j: a for j, a in enumerate(row) if a} for row in _int_rows(A)]
+    return len(_rref_mod(sparse, _PRIME)[1])
 
 
 def solve_linear(A, b) -> list | None:

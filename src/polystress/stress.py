@@ -264,8 +264,11 @@ def is_infinitesimally_rigid(K: SimplicialComplex, p: Embedding) -> RigidityRepo
     matrix, so K may be given by its facets or by any skeleton of
     dimension at least 1.  Rigid iff rank equals d*f_0 - C(d+1, 2);
     the kernel dimension is the number of independent 2-stresses
-    either way.  The rank is `kernel_basis`'s, so it is exact on
-    either of its routes, whether the framework is rigid or not.
+    either way.  The points span R^d, so the trivial motions bound the
+    rank: rank_p <= rank <= d*f_0 - C(d+1, 2) for the rank mod p.  A
+    rank mod p at that bound certifies a rigid framework without a
+    kernel; otherwise the rank is `kernel_basis`'s, exact on either of
+    its routes.
     """
     d = p.dim
     pts = [p.point(v) for v in K.vertices]
@@ -275,7 +278,9 @@ def is_infinitesimally_rigid(K: SimplicialComplex, p: Embedding) -> RigidityRepo
     f0 = len(K.vertices)
     f1 = len(R.col_labels)
     expected = d * f0 - comb(d + 1, 2)
-    rnk, _ = exactla.kernel_basis(R)
+    rnk = exactla.modular_rank(R)
+    if rnk != expected:
+        rnk, _ = exactla.kernel_basis(R)
     return RigidityReport(
         rigid=rnk == expected,
         rank=rnk,

@@ -349,7 +349,7 @@ def test_kernel_and_solve_match_fraction_back_substitution(system):
 
 # --- the modular kernel route vs Bareiss and the Fraction oracle
 
-P61 = exactla._PRIMES[0]
+P61 = exactla._PRIME
 
 
 def modular_kernel(A):
@@ -359,18 +359,27 @@ def modular_kernel(A):
     return out and (len(out[0]), out[1])
 
 
+def kernel_basis_at_cutoff(A, cells):
+    """`kernel_basis` with `_MODULAR_CELLS` set to cells."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exactla, "_MODULAR_CELLS", cells)
+        return kernel_basis(A)
+
+
 @pytest.fixture
-def primes_tried(monkeypatch):
-    """The bit lengths of the primes the modular route eliminates mod."""
-    tried = []
+def eliminations(monkeypatch):
+    """The row counts of the eliminations mod p: "full" for a matrix,
+    "block" for a pivot block eliminated with a log for lifting."""
+    seen = {"full": [], "block": []}
     real = exactla._rref_mod
 
-    def spy(rows, p):
-        tried.append(p.bit_length())
-        return real(rows, p)
+    def spy(rows, p, log=None):
+        assert p == P61
+        seen["full" if log is None else "block"].append(len(rows))
+        return real(rows, p, log)
 
     monkeypatch.setattr(exactla, "_rref_mod", spy)
-    return tried
+    return seen
 
 
 @settings(deadline=None, max_examples=300)
@@ -385,37 +394,71 @@ def test_modular_kernel_matches_bareiss_and_fraction_oracle(A):
     assert modular_kernel(A) == kernel_basis(A) == fraction_kernel_basis(A)
 
 
-def test_modular_kernel_moves_on_when_the_rank_drops_mod_p(primes_tried):
+def test_modular_kernel_moves_on_when_the_rank_drops_mod_p(monkeypatch, eliminations):
     # mod 2^61-1 the matrix is 0, so e_0 and e_1 read off as a kernel:
-    # only the exact check A x = 0 rejects them
-    assert modular_kernel([[P61, P61]]) == kernel_basis([[P61, P61]]) == (1, [[-1, 1]])
-    assert primes_tried == [61, 89]
+    # only the exact check A x = 0 rejects them, and with no pivot the
+    # Hadamard bound is 1, so no lifting can help and Bareiss takes over
+    assert modular_kernel([[P61, P61]]) is None
+    monkeypatch.setattr(exactla, "_MODULAR_CELLS", 1)
+    assert kernel_basis([[P61, P61]]) == (1, [[-1, 1]])
+    assert eliminations["full"] == [1, 1]
 
 
-def test_modular_kernel_escalates_past_the_reconstruction_bound(primes_tried):
+def test_modular_kernel_escalates_past_the_reconstruction_bound(eliminations):
     # x_0 = 2^40 exceeds sqrt(p/2) for p = 2^61-1, where the residue reads
-    # back as 1/2^21; the check rejects that, and 2^89-1 holds 2^40
+    # back as 1/2^21; the check rejects that, and one lifting step to
+    # p^2 holds 2^40, with one elimination of the 1 x 1 pivot block
     A = [[1, -(1 << 40)], [2, -(1 << 41)]]
     assert modular_kernel(A) == kernel_basis(A) == (1, [[1 << 40, 1]])
-    assert primes_tried == [61, 89]
+    assert eliminations == {"full": [2], "block": [1]}
 
 
-def test_kernel_basis_lands_on_bareiss_when_every_prime_fails(monkeypatch, primes_tried):
-    # 2^600 is beyond the reconstruction bound of every prime in the list
+def test_kernel_basis_lifts_far_past_the_reconstruction_bound(monkeypatch, eliminations):
+    # 2^600 needs sqrt(p^k / 2) >= 2^600, so k = 20: nineteen lifting
+    # steps after one full elimination, within the pivot row's Hadamard bound
     A = [[1, -(1 << 600)], [0, 0]]
     monkeypatch.setattr(exactla, "_MODULAR_CELLS", 1)
     assert kernel_basis(A) == (1, [[1 << 600, 1]])
-    assert primes_tried == [p.bit_length() for p in exactla._PRIMES]
-    assert modular_kernel(A) is None
+    assert eliminations == {"full": [2], "block": [1]}
+    assert modular_kernel(A) == kernel_basis(A)
+
+
+def test_lifting_rejects_a_log_that_does_not_invert_the_pivot_block(monkeypatch):
+    # B = [[2, 1], [1, 3]]: a replay that skips the last logged step
+    # leaves a residual that p does not divide
+    A = [[2, 1, -(1 << 40)], [1, 3, 1 << 41]]
+    assert modular_kernel(A) == fraction_kernel_basis(A)
+    real = exactla._replay
+    monkeypatch.setattr(exactla, "_replay", lambda log, v, p: real(log[:-1], v, p))
+    with pytest.raises(InternalArithmeticError, match="p-adic"):
+        modular_kernel(A)
+
+
+# sparse, with entries far past sqrt(p/2), so that nearly every kernel
+# vector is lifted, and multiples of p, so that some ranks drop mod p
+large_sparse = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.integers(-(1 << 70), 1 << 70), st.sampled_from([P61, 2 * P61, 1 << 61])
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(large_sparse, min_size=n, max_size=n), min_size=1, max_size=6)))
+@example([[1, -(1 << 70), 0], [0, 3, 1 << 69]])
+@example([[P61, 1 << 61, 0], [1, 1, 1]])
+def test_lifted_kernel_matches_bareiss_and_fraction_oracle(A):
+    got = kernel_basis_at_cutoff(A, 1)
+    assert got == kernel_basis_at_cutoff(A, float("inf")) == fraction_kernel_basis(A)
+    assert modular_kernel(A) in (None, got)
 
 
 def sparse_rref_mod(rows, p):
-    """`_rref_mod` on dense integer rows, its pivot rows read back as dense rows."""
+    """`_rref_mod` on dense integer rows: its pivot rows read back as
+    dense rows, its pivot columns, and its origins."""
     n = len(rows[0]) if rows else 0
-    red, cols = exactla._rref_mod([{j: a for j, a in enumerate(row) if a} for row in rows], p)
+    red, cols, origin = exactla._rref_mod([{j: a for j, a in enumerate(row) if a} for row in rows], p)
     # no stored zero, and every entry a residue
     assert all(0 < a < p for row in red for a in row.values())
-    return [[row.get(j, 0) for j in range(n)] for row in red], cols
+    return [[row.get(j, 0) for j in range(n)] for row in red], cols, origin
 
 
 # mostly zeros; the large entries are 0, -1 and 1 mod 2^61-1, and 2^70
@@ -432,14 +475,41 @@ sparse_int_matrix = st.integers(0, 8).flatmap(
 @example([[3, -6, 0], [9, 0, 3]], 3, random.Random(0))  # every entry a multiple of p
 @example([[1, 2, 0], [2, 4, 0], [0, 1, 5]], P61, random.Random(0))  # row 1 cancels on the first pivot
 @example([[1, 1, 1], [4, 0, 0], [0, 2, 2]], 5, random.Random(1))  # the sparser row 1 pivots column 0
+@example([[1, 0, 2], [1, 1, 0], [0, 0, 1]], 5, random.Random(0))  # a tie: the last short row pivots
 @example([], 2, random.Random(0))
 def test_sparse_rref_mod_matches_dense_oracle(rows, p, rnd):
     want = dense_rref_mod(rows, p)
-    assert sparse_rref_mod(rows, p) == want
+    red, cols, origin = sparse_rref_mod(rows, p)
+    assert (red, cols) == want
+    # the origin rows alone have the same RREF: the pivot block is invertible
+    assert len(set(origin)) == len(origin)
+    assert dense_rref_mod([rows[i] for i in origin], p) == want
     # the RREF is unique, so no order of the rows may change it
     shuffled = rows[:]
     rnd.shuffle(shuffled)
-    assert sparse_rref_mod(shuffled, p) == want
+    assert sparse_rref_mod(shuffled, p)[:2] == want
+
+
+def test_rref_mod_breaks_a_tie_by_the_last_row():
+    rows = [{0: 1, 2: 2}, {0: 1, 1: 1}, {2: 1}]
+    assert exactla._rref_mod(rows, 5)[2] == [1, 0, 2]
+
+
+def test_replay_inverts_the_logged_elimination():
+    rng = random.Random(0)
+    p = 101
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        B = [[rng.choice([0, 0, rng.randint(1, p - 1)]) for _ in range(n)] for _ in range(n)]
+        log = []
+        red, cols, origin = exactla._rref_mod([{j: a for j, a in enumerate(r) if a} for r in B], p, log)
+        if len(cols) < n:
+            continue
+        b = [rng.randint(0, p - 1) for _ in range(n)]
+        v = b[:]
+        exactla._replay(log, v, p)
+        x = [v[i] for i in origin]
+        assert [sum(a * xj for a, xj in zip(row, x)) % p for row in B] == b
 
 
 def _low_rank(seed, m=60, n=45, r=16):

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -326,6 +327,27 @@ def test_stress_basis_routes_agree_on_corpus(full_corpus, monkeypatch):
     assert len(won) == len(big)
 
 
+def test_k3_stress_basis_eliminates_once(monkeypatch):
+    # cyclic(16,6) at k = 3: a 720 x 560 rigidity matrix, one sparse
+    # elimination mod p, and every kernel vector read off it without lifting
+    P = instance("cyclic", n=16, d=6)
+    R = rigidity_matrix(P.complex, P.embedding, 3)
+    calls = []
+    real = exactla._rref_mod
+
+    def spy(rows, p, log=None):
+        calls.append((len(rows), log is None))
+        return real(rows, p, log)
+
+    monkeypatch.setattr(exactla, "_rref_mod", spy)
+    t0 = time.monotonic()
+    basis = stress_basis(P.complex, P.embedding, 3)
+    elapsed = time.monotonic() - t0
+    assert calls == [(R.nrows, True)]
+    assert len(basis) == 165  # g_3 = h_3 - h_2 = C(12, 3) - C(11, 2)
+    assert elapsed < 10, f"took {elapsed:.1f}s"
+
+
 def test_stress_reads_only_the_faces_of_sizes_k_minus_1_and_k(full_corpus):
     # the (k-1)-skeleton has the facets' rows and columns, so the same stresses
     checked = set()
@@ -418,6 +440,29 @@ def test_flexible_graph_rank_above_the_cutoff(no_large_bareiss):
     assert not rep.rigid
     assert (rep.rank, rep.expected_rank, rep.stress_dim) == (74, 75, 0)
     assert rep.rank == gauss_rank(R.entries)
+
+
+def test_rigid_reports_read_no_kernel(full_corpus, monkeypatch):
+    # a rank mod p at d*f0 - C(d+1, 2) certifies rigidity; a flexible
+    # framework's rank falls short mod p too, and kernel_basis decides it
+    P = instance("stacked", d=5, steps=12, seed=3)
+    flexible = [
+        (build_complex(sorted(P.complex.faces_of_size(2))[1:]), P.embedding),
+        (build_complex([(0, 1), (1, 2), (2, 3), (0, 3)]), emb([(0, 0), (1, 0), (1, 1), (0, 1)])),
+    ]
+    kernels = []
+    real = exactla.kernel_basis
+    monkeypatch.setattr(exactla, "kernel_basis", lambda A: kernels.append(A) or real(A))
+
+    def report(K, p):
+        kernels.clear()
+        rep = is_infinitesimally_rigid(K, p)
+        assert len(kernels) == (not rep.rigid)
+        assert rep == gram_rigidity_report(K, p)
+        return rep
+
+    assert all(report(Q.complex, Q.embedding).rigid for Q in full_corpus)
+    assert not any(report(K, p).rigid for K, p in flexible)
 
 
 def test_rigidity_rejects_flat_embedding():
