@@ -12,30 +12,20 @@ the one way in, clearing each row of denominators once, up front.
   `rank` is the number of pivots.
 - `_kernel` is the one kernel core: it picks the route and reads the
   basis, one vector per free column.  On a matrix of at least
-  `_MODULAR_CELLS` cells it first eliminates once mod the one prime
-  p = 2^61 - 1 (`_modular_kernel`), where entries cannot grow,
-  rationally reconstructs each basis vector and checks A x = 0
-  exactly on the integer rows.  That elimination, `_rref_mod`, keeps
-  each row as a {column: residue} dict without zeros, because
-  rigidity matrices are mostly zeros, and pivots each column on the
-  sparsest row nonzero there, the last such row on a tie, which keeps
-  the fill-in small; the RREF mod p is unique, so the choice of pivot
-  row does not change the result.
-- A vector that fails reconstruction or the check is lifted instead
-  of eliminated again mod a larger prime (Dixon 1982).  The rows that
-  pivoted, cut to the pivot columns, form a block that is invertible
-  mod p.  It is eliminated once, with a log of its row steps, and each
-  lifting step divides a residual exactly and replays the log on it
-  for one more p-adic digit, until the vector mod p^k passes the exact
-  check or the Hadamard bound of the pivot rows shows that no larger
-  modulus can help.  A checked basis, and with it the rank, is the
-  one Bareiss gives; Bareiss and the one integer readout
-  `_back_substitute` stay the route for small matrices and whenever
-  the modular route yields no checked basis.  `kernel_basis`,
-  `solve_linear` (the kernel vector of [A | -b] whose last coordinate
-  is 1) and `rref` (each row read off the kernel vectors) sit on it;
-  `modular_rank` reads only the elimination's rank, a lower bound on
-  the exact one.
+  `_MODULAR_CELLS` cells it tries `_modular_kernel` first: one logged
+  sparse elimination mod p = 2^61 - 1 (`_rref_mod`), where entries
+  cannot grow and each rigidity block is reduced within itself before
+  the rows meet, then rational reconstruction of each basis vector and
+  an exact check of A x = 0.  A vector that fails is lifted p-adically
+  by replaying the same log (Dixon 1982); a residual that p does not
+  divide marks an unlucky prime, and the route gives up.  A checked
+  basis, and with it the rank, is the one Bareiss gives; Bareiss and
+  the one integer readout `_back_substitute` stay the route for small
+  matrices and whenever the modular route yields no checked basis.
+  `kernel_basis`, `solve_linear` (the kernel vector of [A | -b] whose
+  last coordinate is 1) and `rref` (each row read off the kernel
+  vectors) sit on it; `modular_rank` reads only the elimination's
+  rank, a lower bound on the exact one.
 - The LP is a dense two-phase primal simplex with Bland's rule, so it
   terminates and every run of it is deterministic.  Its tableau holds
   integer rows over one shared denominator; a pivot is the same step
@@ -68,8 +58,9 @@ the one way in, clearing each row of denominators once, up front.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress, count
 
 from .errors import InternalArithmeticError, InvalidArgument
 from .rat import R0, R1, Rat, rat
@@ -106,6 +97,8 @@ def _check_width(rows, n) -> None:
 def _integerize(row) -> list[int]:
     """Scale a row of ints and `Rat`s to integers by the positive lcm of
     its denominators.  Bools, floats and anything else are rejected."""
+    if {*map(type, row)} <= {int}:
+        return list(row)
     den = 1
     for x in row:
         if type(x) is not int:
@@ -221,75 +214,89 @@ _MODULAR_CELLS = 360
 def _rref_mod(rows, p, log=None) -> tuple[list[dict[int, int]], list[int], list[int]]:
     """Reduced row echelon form of sparse integer rows mod the prime p.
 
-    Rows are {column: entry} dicts that hold no zero entries: integers
-    in the input, residues in 1..p-1 in the output.  Returns (pivot
-    rows, pivot columns, origins), one of each per pivot, in column
-    order: each pivot row has 1 on its pivot column and no entry on any
-    other pivot column, and its origin is the index of the input row
-    that was picked to pivot that column.  Every output row combines
-    only the origin rows, so those rows, cut to the pivot columns, form
-    a block that is invertible mod p.  Rigidity matrices are mostly
-    zeros, so a dense update would spend nearly all its time on them.
+    Rows are {column: entry} dicts without zeros: integers in, residues
+    in 1..p-1 out.  Returns (pivot rows, pivot columns, origins) in
+    column order; a pivot row has 1 on its pivot column and no entry on
+    any other, and its origin is the input row that ends up holding it.
 
-    Columns are taken in order.  Among the rows not yet pivoted that
-    are nonzero there, the one with the fewest nonzeros becomes the
-    pivot row, which keeps the fill-in small (Markowitz 1957), and the
-    last such row on a tie: on rigidity matrices that takes far fewer
-    entry updates than the first (k = 3 on cyclic(14,6): 146k against
-    588k).  Each update touches only the pivot row's nonzeros and
-    deletes the entries that cancel.  The RREF of a matrix over a field
-    is unique, so the output rows do not depend on which row is picked.
+    First the rows with one support are reduced among themselves: a
+    rigidity block's d rows share their support and have rank at most
+    d - k + 2, so its redundant rows vanish before meeting any other
+    (Duff, Erisman & Reid 1986), and row operations keep the row space,
+    so the RREF.  Then each column in order is pivoted on the unpivoted
+    row with the fewest nonzeros there, the last on a tie, which keeps
+    the fill-in small (Markowitz 1957); a map from each column to the
+    rows that may hold it, grown on fill-in, finds the rows to update.
+    The RREF is unique, so no choice of pivot row changes the output.
 
-    With a list `log`, each pivot step appends (origin, inverse of the
-    pivot, [(input index, factor), ...]): the pivot row was scaled by
-    the inverse, then factor times it was subtracted from each listed
-    row.  `_replay` applies the same steps to a right-hand side.
+    With a list `log`, each pivot step appends (pivot row, inverse of
+    its pivot, rows, factors): the pivot row was scaled by the inverse,
+    then each factor times it subtracted from its row (factors in a
+    64-bit array, so p < 2^63).  The steps make an invertible T with
+    T A = the pivot rows at their origins, 0 elsewhere, mod p.
     """
-    rest = {}
+    live = {}  # every nonzero row by input index, pivoted or not
     for i, row in enumerate(rows):
         if r := {j: a % p for j, a in row.items() if a % p}:
-            rest[i] = r
-    red, cols, origin = [], [], []
-    for col in sorted({j for row in rest.values() for j in row}):
-        hits = [i for i, row in rest.items() if col in row]
-        if not hits:
-            continue
-        i = min(reversed(hits), key=lambda i: len(rest[i]))
-        prow = rest.pop(i)
-        hits.remove(i)
-        inv = pow(prow[col], -1, p)
-        scaled = [(j, b * inv % p) for j, b in prow.items()]  # the pivot row with 1 at col
-        updated = []
-        for t, row in chain(((t, rest[t]) for t in hits), zip(origin, red)):
-            f = row.get(col)
-            if f:
-                for j, b in scaled:
-                    v = (row.get(j, 0) - f * b) % p
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                updated.append((t, f))
-        if log is not None:
-            log.append((i, inv, updated))
-        red.append(dict(scaled))
-        cols.append(col)
-        origin.append(i)
+            live[i] = r
+    where = {}  # column -> the rows that may hold it, some more than once
+    groups = {}  # support -> its rows
+    for i, row in live.items():
+        for j in row:
+            where.setdefault(j, []).append(i)
+        groups.setdefault(tuple(sorted(row)), []).append(i)
+
+    def pivot(i, col, hits):
+        # scale row i to 1 at col and clear col from each row in hits
+        inv = pow(live[i][col], -1, p)
+        scaled = [(j, b * inv % p) for j, b in live[i].items()]
+        targets, factors = [], array("q")
         for t in hits:
-            if not rest[t]:
-                del rest[t]
-        if not rest:
-            break
-    return red, cols, origin
+            row = live[t]
+            f = row[col]
+            for j, b in scaled:
+                a = row.get(j)
+                if a is None:  # fill-in
+                    row[j] = -f * b % p
+                    where[j].append(t)
+                elif v := (a - f * b) % p:
+                    row[j] = v
+                else:
+                    del row[j]
+            targets.append(t)
+            factors.append(f)
+            if not row:
+                del live[t]
+        if log is not None:
+            log.append((i, inv, targets, factors))
+        live[i] = dict(scaled)
+
+    def reduce(holders):
+        # Gauss-Jordan over the columns of holders, {column: rows}
+        pivoted = {}  # row -> its pivot column
+        for col in sorted(holders):
+            hits = [t for t in set(holders[col]) if col in live.get(t, ())]
+            if rest := [t for t in hits if t not in pivoted]:
+                i = min(rest, key=lambda t: (len(live[t]), -t))
+                hits.remove(i)
+                pivot(i, col, hits)
+                pivoted[i] = col
+        return pivoted
+
+    for group in groups.values():
+        if len(group) > 1:
+            reduce(dict.fromkeys(live[group[0]], group))
+    pivoted = reduce(where)
+    return [live[i] for i in pivoted], list(pivoted.values()), list(pivoted)
 
 
 def _replay(log, v, p) -> None:
     """Apply the row steps `_rref_mod` logged to the vector v, in place."""
-    for i, inv, updated in log:
+    for i, inv, targets, factors in log:
         a = v[i] * inv % p
         v[i] = a
         if a:
-            for t, f in updated:
+            for t, f in zip(targets, factors):
                 v[t] = (v[t] - f * a) % p
 
 
@@ -327,70 +334,91 @@ def _reconstruct(xs, m) -> tuple[list[int], int] | None:
     return out, den
 
 
-def _checked(sparse, n, f, left, xs, m) -> list | None:
+def _checked(columns, nrows, f, left, xs, m) -> list | None:
     """The kernel vector with x_f = 1 whose coordinates on the pivot
     columns `left` are the residues xs mod m, every other one 0: None
-    unless it reconstructs and A x = 0 holds exactly on the rows."""
+    unless it reconstructs and A x = 0 holds exactly, summed over the
+    `columns` of A in x's support."""
     got = _reconstruct(xs, m)
     if got is None:
         return None
     vals, den = got
-    x = [0] * n
-    x[f] = den
-    for c, v in zip(left, vals):
-        x[c] = v
-    if any(sum(a * x[j] for j, a in row.items()) for row in sparse):
+    x = {f: den}
+    x.update((c, v) for c, v in zip(left, vals) if v)
+    acc = [0] * nrows
+    for c, v in x.items():
+        for i, a in zip(*columns[c]):
+            acc[i] += a * v
+    if any(acc):
         return None
-    return [rat(v, den) for v in x]
+    out = [R0] * len(columns)
+    for c, v in x.items():
+        out[c] = rat(v, den)
+    return out
 
 
-def _lift(block, f, digits, p):
-    """Dixon's p-adic lifting (Dixon 1982) of x with B x = -A_If, B the
-    pivot block: yields (x mod p^k, p^k) for k = 2, 3, ... from the
-    residues `digits` of x mod p.
+def _lift(columns, nrows, elim, f, digits, p):
+    """Dixon's p-adic lifting (Dixon 1982) of the x with A_P x = -A_f,
+    P the pivot columns: yields (x mod p^k, p^k) for k = 2, 3, ... from
+    the residues `digits` of x mod p, one per pivot.
 
-    `block` is (the pivot rows A_I, B's rows keyed by pivot index, the
-    log of B's elimination mod p, and for each pivot index the row of
-    B that holds its coordinate once the log is replayed).  Each step
-    divides the residual r <- (r - B d) / p exactly and replays the log
-    on r mod p for the next digit d; a remainder means the log does not
-    invert B.
+    `elim` is (P, origins, log) of `_rref_mod` on A.  Each step divides
+    the residual over all rows, r <- (r - A_P d) / p, replays the log
+    on r mod p and reads the next digit d at the origins.  A remainder
+    means r is not in A_P's column space mod p: the prime is unlucky
+    for f, and the lifting stops.
     """
-    prows, brows, log, at = block
-    res = [-row.get(f, 0) for row in prows]
+    cols, origin, log = elim
+    res = [0] * nrows
+    for i, a in zip(*columns[f]):
+        res[i] = -a
     x, m = digits, p
     while True:
-        for k, brow in enumerate(brows):
-            q, rem = divmod(res[k] - sum(a * digits[j] for j, a in brow.items()), p)
-            if rem:
-                raise InternalArithmeticError("inexact division in p-adic lifting")
-            res[k] = q
-        v = [a % p for a in res]
+        for c, d in zip(cols, digits):
+            if d:
+                for i, a in zip(*columns[c]):
+                    res[i] -= a * d
+        if any(r % p for r in res):
+            return
+        res = [r // p for r in res]
+        v = [r % p for r in res]
         _replay(log, v, p)
-        digits = [v[i] for i in at]
+        digits = [v[i] for i in origin]
         x = [a + d * m for a, d in zip(x, digits)]
         m *= p
         yield x, m
+
+
+def _sparse(rows) -> list[dict[int, int]]:
+    """Integer rows as {column: entry} dicts without zeros."""
+    return [dict(zip(compress(count(), row), filter(None, row))) for row in rows]
+
+
+def _columns(rows, n) -> list[tuple[list[int], list[int]]]:
+    """Sparse rows column by column: (row indices, entries) per column."""
+    out = [([], []) for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            col = out[j]
+            col[0].append(i)
+            col[1].append(a)
+    return out
 
 
 def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
     """`_kernel` of integer rows with n columns by one elimination mod
     p = 2^61 - 1, or None if that does not yield a verified basis.
 
-    Compute the RREF mod p.  For each free column f, read off the
+    For each free column f of the logged RREF mod p, read off the
     vector with x_f = 1, every other free coordinate 0, and
     x_c = -(row of pivot c)[f] on the pivot columns c left of f;
-    rationally reconstruct it and check A x = 0 exactly on the integer
-    rows.  A vector that fails is lifted instead.  With I the origin
-    rows of the pivots and P the pivot columns, B = A_IP is invertible
-    mod p; on the first failure it is eliminated once mod p with a log
-    of its row steps, and `_lift` yields the solution of B x_P = -A_If
-    mod p^2, p^3, ..., each reconstructed and checked as above.  By
-    Cramer's rule that solution's coordinates and their common
-    denominator are minors of A_I, at most H = the product of the
-    norms of its rows (Hadamard), so once sqrt(p^k/2) >= H
-    reconstruction finds them if rank_p = rank_Q.  A vector still
-    unchecked there makes the route give up.
+    reconstruct it and check A x = 0 exactly.  A vector that fails is
+    lifted (`_lift`) from the same log and checked at each step.  By
+    Cramer's rule its coordinates and common denominator are minors of
+    A, at most H = the product of the rank_p largest row norms
+    (Hadamard), so once sqrt(p^k/2) >= H reconstruction finds them if
+    rank_p = rank_Q; a vector unchecked there, or a lift that stops,
+    makes the route give up.
 
     Why the result equals Bareiss's.  Every minor of A reduces mod p,
     so rank_p <= rank_Q.  A verified x writes column f as a rational
@@ -402,34 +430,35 @@ def _modular_kernel(rows, n) -> tuple[list[int], list[list]] | None:
     prime fails the check.
     """
     p = _PRIME
-    sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
-    red, cols, origin = _rref_mod(sparse, p)
-    index = {c: k for k, c in enumerate(cols)}
-    block = None  # B's elimination, made on the first failed vector
+    sparse = _sparse(rows)
+    log = []
+    red, cols, origin = _rref_mod(sparse, p, log)
+    columns, at = _columns(sparse, n), _columns(red, n)
+    pivots = set(cols)
+    hadamard2 = None  # H^2, made on the first failed vector
     basis = []
     left = 0  # the number of pivot columns left of f
     for f in range(n):
-        if f in index:
+        if f in pivots:
             left += 1
             continue
         # rows of pivots right of f are 0 at f
-        xs = [-row.get(f, 0) % p for row in red[:left]]
-        x = _checked(sparse, n, f, cols[:left], xs, p)
+        ks, residues = at[f]
+        x = _checked(columns, len(sparse), f, [cols[k] for k in ks], [p - a for a in residues], p)
         if x is None:
-            if block is None:
-                prows = [sparse[i] for i in origin]
-                brows = [{index[j]: a for j, a in row.items() if j in index} for row in prows]
-                log = []
-                at = _rref_mod(brows, p, log)[2]
-                if len(at) != len(cols):
-                    raise InternalArithmeticError("pivot block is singular mod p")
-                block = prows, brows, log, at
-                hadamard2 = math.prod(sum(a * a for a in row.values()) for row in prows)  # H^2
-            lifts = _lift(block, f, xs + [0] * (len(cols) - left), p)
+            if hadamard2 is None:
+                norms = sorted((sum(a * a for a in row.values()) for row in sparse), reverse=True)
+                hadamard2 = math.prod(norms[: len(cols)])
+            digits = [0] * len(cols)
+            for k, a in zip(ks, residues):
+                digits[k] = p - a
+            lifts = _lift(columns, len(sparse), (cols, origin, log), f, digits, p)
             m = p
             while math.isqrt(m >> 1) ** 2 < hadamard2:
-                xs, m = next(lifts)
-                if (x := _checked(sparse, n, f, cols[:left], xs[:left], m)) is not None:
+                if (got := next(lifts, None)) is None:
+                    return None
+                xs, m = got
+                if (x := _checked(columns, len(sparse), f, cols[:left], xs[:left], m)) is not None:
                     break
             else:
                 return None
@@ -467,8 +496,7 @@ def kernel_basis(A) -> tuple[int, list[list]]:
 def modular_rank(A) -> int:
     """The rank of A mod 2^61 - 1, a lower bound on its rank: every
     minor of A reduces mod p, so rank_p <= rank_Q."""
-    sparse = [{j: a for j, a in enumerate(row) if a} for row in _int_rows(A)]
-    return len(_rref_mod(sparse, _PRIME)[1])
+    return len(_rref_mod(_sparse(_int_rows(A)), _PRIME)[1])
 
 
 def solve_linear(A, b) -> list | None:

@@ -130,7 +130,7 @@ class StressVector:
     def from_vector(degree: int, face_order, vec) -> "StressVector":
         coeffs = {}
         for F, x in zip(face_order, vec):
-            if x != 0:
+            if x is not R0 and x:  # kernel vectors share R0 for their zeros
                 coeffs[face_key(F)] = rat(x)
         return StressVector(degree=degree, coeffs=coeffs)
 

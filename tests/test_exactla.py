@@ -368,14 +368,14 @@ def kernel_basis_at_cutoff(A, cells):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The row counts of the eliminations mod p: "full" for a matrix,
-    "block" for a pivot block eliminated with a log for lifting."""
-    seen = {"full": [], "block": []}
+    """(row count, logged) of each elimination mod p.  A kernel makes one,
+    logged, and lifts from that log: no block of it is eliminated again."""
+    seen = []
     real = exactla._rref_mod
 
     def spy(rows, p, log=None):
         assert p == P61
-        seen["full" if log is None else "block"].append(len(rows))
+        seen.append((len(rows), log is not None))
         return real(rows, p, log)
 
     monkeypatch.setattr(exactla, "_rref_mod", spy)
@@ -401,37 +401,51 @@ def test_modular_kernel_moves_on_when_the_rank_drops_mod_p(monkeypatch, eliminat
     assert modular_kernel([[P61, P61]]) is None
     monkeypatch.setattr(exactla, "_MODULAR_CELLS", 1)
     assert kernel_basis([[P61, P61]]) == (1, [[-1, 1]])
-    assert eliminations["full"] == [1, 1]
+    assert eliminations == [(1, True), (1, True)]
 
 
 def test_modular_kernel_escalates_past_the_reconstruction_bound(eliminations):
     # x_0 = 2^40 exceeds sqrt(p/2) for p = 2^61-1, where the residue reads
     # back as 1/2^21; the check rejects that, and one lifting step to
-    # p^2 holds 2^40, with one elimination of the 1 x 1 pivot block
+    # p^2, replaying the elimination's own log, holds 2^40
     A = [[1, -(1 << 40)], [2, -(1 << 41)]]
     assert modular_kernel(A) == kernel_basis(A) == (1, [[1 << 40, 1]])
-    assert eliminations == {"full": [2], "block": [1]}
+    assert eliminations == [(2, True)]
 
 
 def test_kernel_basis_lifts_far_past_the_reconstruction_bound(monkeypatch, eliminations):
     # 2^600 needs sqrt(p^k / 2) >= 2^600, so k = 20: nineteen lifting
-    # steps after one full elimination, within the pivot row's Hadamard bound
+    # steps from the one logged elimination, within the largest row's
+    # Hadamard bound
     A = [[1, -(1 << 600)], [0, 0]]
     monkeypatch.setattr(exactla, "_MODULAR_CELLS", 1)
+    lifts = []
+    real = exactla._lift
+
+    def counted(*args):
+        for out in real(*args):
+            lifts.append(out[1])
+            yield out
+
+    monkeypatch.setattr(exactla, "_lift", counted)
     assert kernel_basis(A) == (1, [[1 << 600, 1]])
-    assert eliminations == {"full": [2], "block": [1]}
+    assert eliminations == [(2, True)]
+    assert lifts == [P61**k for k in range(2, 21)]
     assert modular_kernel(A) == kernel_basis(A)
 
 
-def test_lifting_rejects_a_log_that_does_not_invert_the_pivot_block(monkeypatch):
-    # B = [[2, 1], [1, 3]]: a replay that skips the last logged step
-    # leaves a residual that p does not divide
+def test_lifting_rejects_a_log_that_does_not_invert_the_pivot_block(monkeypatch, eliminations):
+    # A_P = [[2, 1], [1, 3]]: a replay that skips the first logged step
+    # reads wrong digits, and the residual they leave is not divisible
+    # by p, so the modular route gives up and Bareiss answers
     A = [[2, 1, -(1 << 40)], [1, 3, 1 << 41]]
     assert modular_kernel(A) == fraction_kernel_basis(A)
     real = exactla._replay
-    monkeypatch.setattr(exactla, "_replay", lambda log, v, p: real(log[:-1], v, p))
-    with pytest.raises(InternalArithmeticError, match="p-adic"):
-        modular_kernel(A)
+    monkeypatch.setattr(exactla, "_replay", lambda log, v, p: real(log[1:], v, p))
+    assert modular_kernel(A) is None
+    monkeypatch.setattr(exactla, "_MODULAR_CELLS", 1)
+    assert kernel_basis(A) == fraction_kernel_basis(A)
+    assert eliminations == [(2, True)] * 3
 
 
 # sparse, with entries far past sqrt(p/2), so that nearly every kernel
@@ -453,12 +467,21 @@ def test_lifted_kernel_matches_bareiss_and_fraction_oracle(A):
 
 def sparse_rref_mod(rows, p):
     """`_rref_mod` on dense integer rows: its pivot rows read back as
-    dense rows, its pivot columns, and its origins."""
+    dense rows, its pivot columns, and its origins.  Checks that the
+    logged steps, replayed on each column of A, give T A = the pivot
+    rows at their origins and 0 on every other row, mod p."""
     n = len(rows[0]) if rows else 0
-    red, cols, origin = exactla._rref_mod([{j: a for j, a in enumerate(row) if a} for row in rows], p)
+    log = []
+    red, cols, origin = exactla._rref_mod(exactla._sparse(rows), p, log)
     # no stored zero, and every entry a residue
     assert all(0 < a < p for row in red for a in row.values())
-    return [[row.get(j, 0) for j in range(n)] for row in red], cols, origin
+    dense = [[row.get(j, 0) for j in range(n)] for row in red]
+    at = dict(zip(origin, dense))
+    for j in range(n):
+        v = [row[j] % p for row in rows]
+        exactla._replay(log, v, p)
+        assert v == [at[i][j] if i in at else 0 for i in range(len(rows))]
+    return dense, cols, origin
 
 
 # mostly zeros; the large entries are 0, -1 and 1 mod 2^61-1, and 2^70
@@ -481,10 +504,44 @@ def test_sparse_rref_mod_matches_dense_oracle(rows, p, rnd):
     want = dense_rref_mod(rows, p)
     red, cols, origin = sparse_rref_mod(rows, p)
     assert (red, cols) == want
-    # the origin rows alone have the same RREF: the pivot block is invertible
     assert len(set(origin)) == len(origin)
-    assert dense_rref_mod([rows[i] for i in origin], p) == want
     # the RREF is unique, so no order of the rows may change it
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    assert sparse_rref_mod(shuffled, p)[:2] == want
+
+
+@st.composite
+def block_rows(draw):
+    """(rows, p): blocks of rows that share one support, as a rigidity
+    matrix's rows of one face do.  Each block holds independent rows and
+    multiples of them, so it may be rank-deficient; entries include
+    multiples of p, which change a row's support mod p."""
+    p = draw(st.sampled_from([2, 3, 5, P61]))
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-6, -1), st.integers(1, 6), st.sampled_from([p, -2 * p, p + 1, 1 << 70]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        size = len(support)
+        bases = draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=1, max_size=3))
+        multiples = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.sampled_from([-2, -1, 2, 3])), max_size=3))
+        for b in bases + [[c * x for x in bases[i]] for i, c in multiples]:
+            row = [0] * n
+            for j, x in zip(support, b):
+                row[j] = x
+            rows.append(row)
+    return rows, p
+
+
+@settings(deadline=None, max_examples=300)
+@given(block_rows(), st.randoms(use_true_random=False))
+@example(([[1, 2, 0], [2, 4, 0], [3, 1, 0], [0, 0, 5]], 7), random.Random(0))  # a rank-2 block of three rows
+@example(([[1, 2], [3, 2]], 2), random.Random(0))  # one support over Z, two mod 2
+def test_block_phase_keeps_the_rref_in_any_row_order(system, rnd):
+    rows, p = system
+    want = dense_rref_mod(rows, p)
+    assert sparse_rref_mod(rows, p)[:2] == want
     shuffled = rows[:]
     rnd.shuffle(shuffled)
     assert sparse_rref_mod(shuffled, p)[:2] == want
